@@ -265,6 +265,33 @@ func installModels(reg *treeexec.ModelRegistry, mf *Manifest, d buildDefaults, w
 	return nil
 }
 
+// Connection timeouts. A predict request's headers are a few hundred
+// bytes, so a client that has not sent them within headerTimeout is
+// stalled or hostile and loses its connection. The body may be up to
+// 32 MiB, and a response waits for the queue and one predict, hence
+// the wider read and write bounds; idle keep-alive connections are
+// reaped after idleTimeout.
+const (
+	headerTimeout = 2 * time.Second
+	readTimeout   = 30 * time.Second
+	writeTimeout  = 30 * time.Second
+	idleTimeout   = 2 * time.Minute
+)
+
+// newHTTPServer builds the listener-side server with every connection
+// timeout set, so slow or stalled clients cannot hold connections (and
+// their goroutines) open forever.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: headerTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func warmStartFromFile(reg *treeexec.ModelRegistry, name, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -286,7 +313,6 @@ func main() {
 		seed     = flag.Int64("seed", 1, "default train/generate seed per model")
 		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "Batcher workers per model")
 		maxRows  = flag.Int("maxrows", 0, "coalescing cap: rows per batch (0: serve default)")
-		maxDelay = flag.Duration("maxdelay", 0, "coalescing latency budget (0: serve default)")
 		maxQueue = flag.Int("maxqueue", 0, "admission bound: queued requests per model (0: serve default)")
 
 		selfcheck     = flag.Bool("selfcheck", false, "smoke mode: serve on loopback, fire concurrent requests, verify against in-process Predict, exit")
@@ -305,7 +331,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := serve.Config{MaxBatchRows: *maxRows, MaxDelay: *maxDelay, MaxQueue: *maxQueue}
+	cfg := serve.Config{MaxBatchRows: *maxRows, MaxQueue: *maxQueue}
 
 	if *selfcheck {
 		if err := runSelfCheck(mf, d, cfg, *workers, *selfcheckReqs); err != nil {
@@ -346,7 +372,7 @@ func main() {
 		}
 	}()
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := newHTTPServer(*addr, srv.Handler())
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	go func() {
@@ -399,7 +425,7 @@ func runSelfCheck(mf *Manifest, d buildDefaults, cfg serve.Config, workers, reqs
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer("", srv.Handler())
 	go func() { _ = httpSrv.Serve(ln) }()
 	defer httpSrv.Close()
 	base := "http://" + ln.Addr().String()

@@ -1,10 +1,14 @@
 package main
 
 import (
+	"io"
+	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"flint/internal/serve"
 	"flint/internal/treeexec"
@@ -130,5 +134,41 @@ func TestBuildModelVariants(t *testing.T) {
 	}
 	if _, _, err := buildModel(ModelSpec{Name: "magic", Variant: "nosuch"}.withDefaults(quick), 1); err == nil {
 		t.Fatal("unknown variant accepted")
+	}
+}
+
+// TestServerDropsStalledHeaders pins the slow-client defence: a client
+// that sends half its request headers and then stalls is disconnected
+// once headerTimeout has passed, instead of holding its connection (and
+// the server goroutine behind it) open forever.
+func TestServerDropsStalledHeaders(t *testing.T) {
+	t.Parallel()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newHTTPServer("", http.NotFoundHandler())
+	go func() { _ = srv.Serve(ln) }()
+	defer srv.Close()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := io.WriteString(conn, "POST /v1/models/magic:predict HTTP/1.1\r\nHost: flintserve\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(start.Add(headerTimeout + 10*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	_, err = conn.Read(make([]byte, 1))
+	elapsed := time.Since(start)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("stalled client still connected after %v (header timeout %v)", elapsed, headerTimeout)
+	}
+	if err == nil || elapsed < headerTimeout/2 {
+		t.Fatalf("read after %v returned %v, want the server to hang up at the %v header timeout", elapsed, err, headerTimeout)
 	}
 }

@@ -242,15 +242,16 @@
 //
 // The network boundary is the serve layer (NewServer): an HTTP/JSON
 // front-end (POST /v1/models/{name}:predict) that coalesces single-row
-// and batch requests from many connections into Batcher-sized blocks
-// under a latency budget (cross-request batching), applies per-model
-// admission control (bounded queue, 429 on overflow), and reports
-// per-model counters, latency quantiles and drift state on GET
-// /v1/models and /metrics. cmd/flintserve wraps it into a binary:
-// manifest-driven model sets, SIGHUP or POST /v1/reload hot reload
-// through Swap, and a -selfcheck smoke mode CI runs against all five
-// workloads. flintbench -servebench measures the wire path (rows/s,
-// p50/p99) as BENCH_serve.json next to BENCH_batch.json.
+// and batch requests from many connections without a batching window —
+// a lane predicts as soon as it is idle and batches whatever queued
+// behind the in-flight call — applies per-model admission control
+// (bounded queue, 429 on overflow), and reports per-model counters,
+// latency quantiles and drift state on GET /v1/models and /metrics.
+// cmd/flintserve wraps it into a binary: manifest-driven model sets,
+// SIGHUP or POST /v1/reload hot reload through Swap, and a -selfcheck
+// smoke mode CI runs against all five workloads. flintbench
+// -servebench measures the wire path (rows/s, p50/p99) as
+// BENCH_serve.json next to BENCH_batch.json.
 //
 // # Decision paths and robustness auditing
 //
@@ -651,13 +652,14 @@ func NewServedModelSampled(name string, e *FlatEngine, workers, block, capacity,
 }
 
 // Server is the HTTP/JSON front-end over a ModelRegistry: cross-request
-// batching under a latency budget, per-model admission control and
+// batching (a lane predicts as soon as it is idle and batches whatever
+// queued behind the in-flight call), per-model admission control and
 // metrics. Mount Server.Handler on an http.Server; see cmd/flintserve
 // for the packaged binary.
 type Server = serve.Server
 
-// ServeConfig tunes the front-end (coalescing row cap, latency budget,
-// admission queue bound); the zero value selects the defaults.
+// ServeConfig tunes the front-end (coalescing row cap, admission queue
+// bound); the zero value selects the defaults.
 type ServeConfig = serve.Config
 
 // NewServer builds the HTTP front-end over a registry.
@@ -672,9 +674,11 @@ func NewServer(reg *ModelRegistry, cfg ServeConfig) *Server { return serve.New(r
 type DriftConfig = treeexec.DriftConfig
 
 // DriftStats is a snapshot of a Batcher's drift detector: the latest
-// PSI distance, check/trigger/suppression counters and timestamps. Read
-// it with Batcher.DriftStats; Batcher.CheckDrift forces a synchronous
-// check.
+// PSI distance, check/trigger/suppression counters and timestamps. A
+// trigger counts once its recalibration pass has installed a mode;
+// Starved counts the passes whose budget ran out before timing any
+// candidate. Read it with Batcher.DriftStats; Batcher.CheckDrift forces
+// a synchronous check.
 type DriftStats = treeexec.DriftStats
 
 // PathStep is one comparison on a row's decision path, as traced by

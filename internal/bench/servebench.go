@@ -43,9 +43,6 @@ type ServeBench struct {
 	// BatchRows is the row count batch-shaped requests carry; <= 0
 	// selects 16. Odd-numbered requests are single rows regardless.
 	BatchRows int
-	// MaxDelay is the server's coalescing budget; <= 0 selects 500µs —
-	// tighter than the serving default so a bench run is latency-honest.
-	MaxDelay time.Duration
 }
 
 // ServeBenchRow is one workload's measured serving profile.
@@ -68,7 +65,6 @@ type ServeBenchReport struct {
 	Config struct {
 		Rows, Trees, Depth, Workers, Clients, BatchRows int
 		GOMAXPROCS                                      int
-		MaxDelayMs                                      float64
 	} `json:"config"`
 	Results []ServeBenchRow `json:"results"`
 }
@@ -98,9 +94,6 @@ func (c ServeBench) withDefaults() ServeBench {
 	if c.BatchRows <= 0 {
 		c.BatchRows = 16
 	}
-	if c.MaxDelay <= 0 {
-		c.MaxDelay = 500 * time.Microsecond
-	}
 	return c
 }
 
@@ -119,7 +112,6 @@ func (c ServeBench) Run() (*ServeBenchReport, error) {
 	rep.Config.Clients = c.Clients
 	rep.Config.BatchRows = c.BatchRows
 	rep.Config.GOMAXPROCS = runtime.GOMAXPROCS(0)
-	rep.Config.MaxDelayMs = float64(c.MaxDelay) / float64(time.Millisecond)
 
 	for _, ds := range dataset.Names() {
 		row, err := c.runWorkload(ds)
@@ -161,7 +153,7 @@ func (c ServeBench) runWorkload(ds string) (*ServeBenchRow, error) {
 	if err := reg.Register(treeexec.NewServedModel(ds, e, c.Workers, 0)); err != nil {
 		return nil, err
 	}
-	s := serve.New(reg, serve.Config{MaxDelay: c.MaxDelay, MaxQueue: 4096})
+	s := serve.New(reg, serve.Config{MaxQueue: 4096})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

@@ -1,9 +1,6 @@
 package serve
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "sync/atomic"
 
 // pending is one predict request parked in a lane: the rows it brought,
 // and the result the dispatcher scatters back before closing done.
@@ -16,10 +13,10 @@ type pending struct {
 
 // lane is one model's coalescing pipeline: handlers enqueue pending
 // requests into a bounded queue (admission control), and a single
-// dispatcher goroutine gathers them — up to the configured row cap,
-// waiting at most the latency budget — into one registry Predict per
-// batch. The cross-request batching restores the block shapes the
-// arena kernels were calibrated for even under single-row clients.
+// dispatcher goroutine predicts as soon as it is idle and batches
+// whatever queued behind the in-flight call, up to the row cap, into
+// one registry Predict. No timer holds a request back; batch size
+// follows load through the queue itself.
 type lane struct {
 	name  string
 	queue chan *pending
@@ -56,14 +53,11 @@ func (l *lane) enqueue(p *pending) bool {
 	}
 }
 
-// run is the dispatcher: gather, predict, scatter, repeat.
+// run is the dispatcher: block for a request, drain what queued behind
+// it without blocking, predict, scatter, repeat.
 func (l *lane) run(s *Server) {
 	defer close(l.done)
 	maxRows := s.cfg.MaxBatchRows
-	timer := time.NewTimer(s.cfg.MaxDelay)
-	if !timer.Stop() {
-		<-timer.C
-	}
 	for {
 		var first *pending
 		select {
@@ -74,25 +68,14 @@ func (l *lane) run(s *Server) {
 		}
 		batch := append(make([]*pending, 0, 8), first)
 		rows := len(first.rows)
-		timer.Reset(s.cfg.MaxDelay)
-	gather:
+	drain:
 		for rows < maxRows {
 			select {
 			case p := <-l.queue:
 				batch = append(batch, p)
 				rows += len(p.rows)
-			case <-timer.C:
-				break gather
-			case <-l.stop:
-				// Serve what was gathered; the next loop iteration
-				// observes stop and fails whatever remains queued.
-				break gather
-			}
-		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
 			default:
+				break drain
 			}
 		}
 		l.serve(s, batch, rows)

@@ -1,9 +1,10 @@
 // Package serve is the network front-end over a treeexec.ModelRegistry:
 // an HTTP/JSON server that accepts single rows and row batches from many
-// concurrent connections and coalesces them into Batcher-sized blocks —
-// cross-request batching under a configurable latency budget — so the
-// arena kernels see the block shapes they were calibrated for even when
-// every client sends one row at a time.
+// concurrent connections and coalesces them into registry Predict calls.
+// Coalescing adds no wait: a lane predicts as soon as it is idle and
+// batches whatever queued behind the in-flight call, so a lone request
+// is answered at once and, under load, the requests that arrived during
+// one predict share the next.
 //
 // Endpoints:
 //
@@ -36,13 +37,10 @@ import (
 
 // Config tunes the front-end; the zero value is serviceable.
 type Config struct {
-	// MaxBatchRows caps how many rows one coalesced predict carries.
+	// MaxBatchRows caps how many rows one coalesced predict carries;
+	// requests are never split, so the last one drained may overshoot.
 	// Default 256 — two of the Batcher's default 128-row blocks.
 	MaxBatchRows int
-	// MaxDelay is the coalescing latency budget: once a lane holds a
-	// request, it gathers more for at most this long before predicting.
-	// Default 2ms. Lower trades throughput for latency.
-	MaxDelay time.Duration
 	// MaxQueue bounds each model's pending-request queue; requests
 	// arriving beyond it are rejected with 429 (admission control).
 	// Default 1024.
@@ -52,9 +50,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxBatchRows <= 0 {
 		c.MaxBatchRows = 256
-	}
-	if c.MaxDelay <= 0 {
-		c.MaxDelay = 2 * time.Millisecond
 	}
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 1024

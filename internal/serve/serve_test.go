@@ -39,19 +39,56 @@ func testModel(t *testing.T, name, workload string) (*treeexec.ServedModel, [][]
 // postPredict fires one predict request and decodes the response.
 func postPredict(t *testing.T, url, model string, body any) (int, predictResponse, string) {
 	t.Helper()
-	buf, err := json.Marshal(body)
+	code, pr, raw, err := tryPredict(url, model, body)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return code, pr, raw
+}
+
+// tryPredict is postPredict for goroutines other than the test's own,
+// which must not call t.Fatal: transport failures come back as errors.
+func tryPredict(url, model string, body any) (int, predictResponse, string, error) {
+	buf, err := json.Marshal(body)
+	if err != nil {
+		return 0, predictResponse{}, "", err
+	}
 	resp, err := http.Post(url+"/v1/models/"+model+":predict", "application/json", bytes.NewReader(buf))
 	if err != nil {
-		t.Fatal(err)
+		return 0, predictResponse{}, "", err
 	}
 	defer resp.Body.Close()
 	raw, _ := io.ReadAll(resp.Body)
 	var pr predictResponse
 	_ = json.Unmarshal(raw, &pr)
-	return resp.StatusCode, pr, string(raw)
+	return resp.StatusCode, pr, string(raw), nil
+}
+
+// parkLane installs the named model's lane by hand with its dispatcher
+// not running, so requests sent to it stay queued until the test starts
+// the dispatcher with go l.run(s).
+func parkLane(s *Server, name string) *lane {
+	l := newLane(name, s.cfg.MaxQueue)
+	s.mu.Lock()
+	s.lanes[name] = l
+	s.mu.Unlock()
+	return l
+}
+
+// waitQueued waits until n requests sit in a parked lane's queue. On
+// timeout it starts the dispatcher before failing, so the parked
+// handlers — and the deferred server shutdowns waiting on them — do not
+// hang the test.
+func waitQueued(t *testing.T, s *Server, l *lane, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for len(l.queue) < n {
+		if time.Now().After(deadline) {
+			go l.run(s)
+			t.Fatalf("%d of %d requests reached the queue", len(l.queue), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // TestServePredictSingleAndBatch pins the wire contract: single rows
@@ -64,7 +101,7 @@ func TestServePredictSingleAndBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reg.Close()
-	s := New(reg, Config{MaxDelay: 500 * time.Microsecond})
+	s := New(reg, Config{})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -121,7 +158,7 @@ func TestServeStatusAndMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reg.Close()
-	s := New(reg, Config{MaxDelay: 200 * time.Microsecond})
+	s := New(reg, Config{})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -188,9 +225,14 @@ func TestServeStatusAndMetrics(t *testing.T) {
 	}
 }
 
-// TestServeCoalescesAcrossRequests pins the cross-request batching
-// claim: many concurrent single-row requests land in fewer coalesced
-// registry batches than requests.
+// TestServeCoalescesAcrossRequests pins cross-request batching without
+// relying on timing: requests parked in a lane whose dispatcher is not
+// yet running leave, once it starts, as one registry batch, each answer
+// scattered back to the request that asked for it. The second case
+// queues more rows than MaxBatchRows (16): the drain stops once a batch
+// reaches the cap and never splits a request, so the 10-row requests
+// pair up and the 40-row one leaves whole — three batches in any queue
+// order, where splitting at the cap would make five.
 func TestServeCoalescesAcrossRequests(t *testing.T) {
 	m, rows := testModel(t, "magic", "magic")
 	reg := treeexec.NewModelRegistry()
@@ -198,35 +240,66 @@ func TestServeCoalescesAcrossRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reg.Close()
-	// A generous budget so slow CI schedulers still gather.
-	s := New(reg, Config{MaxDelay: 20 * time.Millisecond})
-	defer s.Close()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	want := m.Engine().PredictBatch(rows, nil, 1, 0)
 
-	const n = 64
-	errc := make(chan error, n)
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			code, _, raw := postPredict(t, ts.URL, "magic", predictRequest{Row: rows[i]})
-			if code != http.StatusOK {
-				errc <- fmt.Errorf("request %d: code %d (%s)", i, code, raw)
-				return
+	var mixed []int // 32 requests of 1, 4, 7 and 10 rows: 176 in all
+	for i := 0; i < 32; i++ {
+		mixed = append(mixed, 1+3*(i%4))
+	}
+	for _, tc := range []struct {
+		name    string
+		maxRows int
+		sizes   []int // rows per parked request
+		batches uint64
+	}{
+		{"under the cap", 0, mixed, 1},
+		{"over the cap", 16, []int{10, 10, 10, 10, 40}, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(reg, Config{MaxBatchRows: tc.maxRows})
+			defer s.Close()
+			l := parkLane(s, "magic")
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+
+			errc := make(chan error, len(tc.sizes))
+			total := 0
+			for _, n := range tc.sizes {
+				go func(lo, hi int) {
+					code, pr, raw, err := tryPredict(ts.URL, "magic", predictRequest{Rows: rows[lo:hi]})
+					switch {
+					case err != nil:
+					case code != http.StatusOK:
+						err = fmt.Errorf("rows %d-%d: code %d (%s)", lo, hi, code, raw)
+					case len(pr.Classes) != hi-lo:
+						err = fmt.Errorf("rows %d-%d: %d classes", lo, hi, len(pr.Classes))
+					default:
+						for i, c := range pr.Classes {
+							if c != want[lo+i] {
+								err = fmt.Errorf("row %d: HTTP answer %d, engine %d", lo+i, c, want[lo+i])
+								break
+							}
+						}
+					}
+					errc <- err
+				}(total, total+n)
+				total += n
 			}
-			errc <- nil
-		}(i)
+			waitQueued(t, s, l, len(tc.sizes))
+			go l.run(s)
+			for range tc.sizes {
+				if err := <-errc; err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := l.batches.Load(); got != tc.batches {
+				t.Fatalf("%d parked requests left in %d registry batches, want %d", len(tc.sizes), got, tc.batches)
+			}
+			if got := l.rows.Load(); got != uint64(total) {
+				t.Fatalf("lane predicted %d rows, want %d", got, total)
+			}
+		})
 	}
-	for i := 0; i < n; i++ {
-		if err := <-errc; err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := s.Status()[0]
-	if st.CoalescedBatches >= n {
-		t.Fatalf("no cross-request coalescing: %d requests became %d batches", n, st.CoalescedBatches)
-	}
-	t.Logf("%d single-row requests coalesced into %d batches (fill %.1f rows/batch)",
-		n, st.CoalescedBatches, st.CoalesceFill)
 }
 
 // TestServeAdmissionControl pins the 429 path deterministically: the
@@ -242,28 +315,18 @@ func TestServeAdmissionControl(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reg.Close()
-	s := New(reg, Config{MaxQueue: 1, MaxDelay: time.Millisecond})
+	s := New(reg, Config{MaxQueue: 1})
 	defer s.Close()
-	// Install the lane by hand, dispatcher not yet started.
-	l := newLane("magic", s.cfg.MaxQueue)
-	s.mu.Lock()
-	s.lanes["magic"] = l
-	s.mu.Unlock()
+	l := parkLane(s, "magic")
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
 	parked := make(chan int, 1)
 	go func() {
-		code, _, _ := postPredict(t, ts.URL, "magic", predictRequest{Row: rows[0]})
+		code, _, _, _ := tryPredict(ts.URL, "magic", predictRequest{Row: rows[0]})
 		parked <- code
 	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for len(l.queue) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("first request never reached the queue")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitQueued(t, s, l, 1)
 
 	code, _, raw := postPredict(t, ts.URL, "magic", predictRequest{Row: rows[1]})
 	if code != http.StatusTooManyRequests {
@@ -281,7 +344,8 @@ func TestServeAdmissionControl(t *testing.T) {
 
 // TestServeCloseFailsPending pins the shutdown contract: Close drains
 // the lanes, parked requests fail with 503 instead of hanging, and new
-// requests are turned away.
+// requests are turned away. The requests are parked in a lane whose
+// dispatcher starts only once Close has stopped it.
 func TestServeCloseFailsPending(t *testing.T) {
 	m, rows := testModel(t, "magic", "magic")
 	reg := treeexec.NewModelRegistry()
@@ -289,29 +353,31 @@ func TestServeCloseFailsPending(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reg.Close()
-	s := New(reg, Config{MaxDelay: time.Hour}) // park the dispatcher in gather
+	s := New(reg, Config{})
+	l := parkLane(s, "magic")
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
 	codes := make(chan int, 4)
 	for i := 0; i < 4; i++ {
 		go func() {
-			code, _, _ := postPredict(t, ts.URL, "magic", predictRequest{Row: rows[0]})
+			code, _, _, _ := tryPredict(ts.URL, "magic", predictRequest{Row: rows[0]})
 			codes <- code
 		}()
 	}
-	// Wait until the requests are inside the lane, then shut down.
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Status()[0].Requests < 4 {
-		if time.Now().After(deadline) {
-			t.Fatal("requests never reached the lane")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	s.Close()
+	waitQueued(t, s, l, 4)
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	<-l.stop
+	go l.run(s)
+	<-closed
 	for i := 0; i < 4; i++ {
-		// The first gathered request rides the shutdown batch to a real
-		// answer; later ones fail 503. Either way nobody hangs.
+		// The dispatcher sees the queue and the stop signal at once: it
+		// either serves the queue in one last batch (200) or fails it
+		// (503). Either way nobody hangs.
 		if c := <-codes; c != http.StatusOK && c != http.StatusServiceUnavailable {
 			t.Fatalf("post-Close status %d, want 200 or 503", c)
 		}

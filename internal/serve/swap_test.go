@@ -49,7 +49,7 @@ func TestHotSwapUnderLiveHTTPTraffic(t *testing.T) {
 	defer reg.Close()
 	want := first.Engine().PredictBatch(d.Features, nil, 1, 0)
 
-	s := New(reg, Config{MaxDelay: 300 * time.Microsecond, MaxQueue: 4096})
+	s := New(reg, Config{MaxQueue: 4096})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

@@ -55,7 +55,8 @@ type DriftConfig struct {
 	// fewer distinct splits use splits+1 bins. Default 16.
 	Bins int `json:"bins,omitempty"`
 	// Budget is the wall-clock budget handed to the triggered
-	// recalibration (CalibrateInterleaveRows); <= 0 selects its default.
+	// recalibration (CalibrateInterleaveRowsLadder); <= 0 selects its
+	// default.
 	Budget time.Duration `json:"budget_ns,omitempty"`
 }
 
@@ -125,13 +126,14 @@ type DriftStats struct {
 	Threshold    float64   // resolved trigger threshold
 	Distance     float64   // PSI at the last completed comparison
 	Checks       uint64    // comparisons completed (including baseline adoption)
-	Triggers     uint64    // automatic recalibrations fired
+	Triggers     uint64    // triggered recalibration passes finished (their mode installed)
+	Starved      uint64    // of Triggers, passes that timed no candidate and kept the incumbent mode
 	Suppressed   uint64    // over-threshold checks swallowed by the cooldown
 	BaselineRows int       // rows behind the current baseline histogram (0: none yet)
 	LastCheck    time.Time // wall time of the last check (zero: none yet)
-	LastTrigger  time.Time // wall time of the last trigger (zero: none yet)
-	// TriggerDistance is the PSI measured by the check that last
-	// triggered (zero: no trigger yet). Distance keeps moving after a
+	LastTrigger  time.Time // wall time the last triggered pass started (zero: none yet)
+	// TriggerDistance is the PSI measured by the check behind the last
+	// finished pass (zero: none yet). Distance keeps moving after a
 	// trigger — the baseline rebases, so the next check scores near 0 —
 	// while this field preserves the excursion that fired.
 	TriggerDistance float64
@@ -254,6 +256,7 @@ type driftDetector struct {
 	triggerDist  float64
 	checks       uint64
 	triggers     uint64
+	starved      uint64
 	suppressed   uint64
 	lastCheck    time.Time
 	lastTrigger  time.Time
@@ -351,15 +354,23 @@ func (d *driftDetector) check(b *Batcher) {
 		d.mu.Unlock()
 		return
 	}
-	d.lastTrigger = now
-	d.triggerDist = dist
-	d.triggers++
+	d.lastTrigger = now // starts the cooldown, so a concurrent check cannot fire too
 	d.mu.Unlock()
 
 	// The install is the existing atomic (width, kernel) mode store, so
-	// Batcher workers racing it finish their block at the old mode.
-	b.e.CalibrateInterleaveRows(rows, d.cfg.Budget)
+	// Batcher workers racing it finish their block at the old mode. The
+	// pass is counted only once it has installed its mode, and an empty
+	// ladder — a budget that ran out before any candidate was timed —
+	// is counted as starved rather than as a recalibration with evidence.
+	_, ladder := b.e.CalibrateInterleaveRowsLadder(rows, d.cfg.Budget)
 	d.rebase(rows)
+	d.mu.Lock()
+	d.triggerDist = dist
+	d.triggers++
+	if len(ladder) == 0 {
+		d.starved++
+	}
+	d.mu.Unlock()
 }
 
 // snapshot reads the detector's counters consistently.
@@ -372,6 +383,7 @@ func (d *driftDetector) snapshot() DriftStats {
 		Distance:        d.distance,
 		Checks:          d.checks,
 		Triggers:        d.triggers,
+		Starved:         d.starved,
 		Suppressed:      d.suppressed,
 		BaselineRows:    d.baselineRows,
 		LastCheck:       d.lastCheck,

@@ -411,11 +411,14 @@ func TestCalibrationSourceTransitions(t *testing.T) {
 	if src := e.CalibrationSource(); src != "default" {
 		t.Errorf("fresh engine source = %q, want \"default\"", src)
 	}
-	e.CalibrateInterleave(2 * time.Millisecond)
+	// A starved pass rightly keeps the previous label, so the budget must
+	// leave every candidate a timed run even under -race's slowdown.
+	const budget = 20 * time.Millisecond
+	e.CalibrateInterleave(budget)
 	if src := e.CalibrationSource(); src != "synthetic" {
 		t.Errorf("self-calibrated source = %q, want \"synthetic\"", src)
 	}
-	e.CalibrateInterleaveRows(d.Features, 2*time.Millisecond)
+	e.CalibrateInterleaveRows(d.Features, budget)
 	if src := e.CalibrationSource(); src != "rows" {
 		t.Errorf("row-calibrated source = %q, want \"rows\"", src)
 	}

@@ -1,6 +1,7 @@
 package treeexec
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -151,8 +152,8 @@ func TestBatcherSamplingZeroAlloc(t *testing.T) {
 // TestBatcherRecalibrateUnderTraffic recalibrates repeatedly while
 // Predict callers hammer the pool: the winning (width, kernel) pair
 // must install atomically (run under -race to pin the data-race half
-// of the contract — on this compact engine each pass times both the
-// branchy and fused kernels and may flip between them mid-traffic),
+// of the contract — on this compact engine each pass times every
+// kernel of the host's slate and may flip between them mid-traffic),
 // predictions must stay correct throughout, and the adopted width must
 // be a supported one sourced from the reservoir's rows.
 func TestBatcherRecalibrateUnderTraffic(t *testing.T) {
@@ -198,16 +199,22 @@ func TestBatcherRecalibrateUnderTraffic(t *testing.T) {
 	for sampled, _ := b.SampleStats(); sampled == 0; sampled, _ = b.SampleStats() {
 		time.Sleep(time.Millisecond)
 	}
+	// Each pass splits its budget over up to 18 candidates, and a pass
+	// that times none rightly keeps the "default" source; 50 ms leaves
+	// each candidate room for a timed run even under -race beside four
+	// Predict loops.
 	for i := 0; i < 3; i++ {
-		w := b.Recalibrate(4 * time.Millisecond)
-		if w != 1 && w != 2 && w != 4 && w != 8 {
+		w := b.Recalibrate(50 * time.Millisecond)
+		if w != 1 && w != 2 && w != 4 && w != 8 && w != 16 {
 			t.Errorf("Recalibrate chose unsupported width %d", w)
 		}
 		if w != e.Interleave() {
 			t.Errorf("Recalibrate returned %d but engine holds %d", w, e.Interleave())
 		}
-		if k := e.Kernel(); k != KernelBranchy && k != KernelFused {
-			t.Errorf("Recalibrate installed unsupported kernel %d", k)
+		// Any kernel of this host's slate may win; under -race the
+		// uninstrumented assembly ones often do.
+		if k := e.Kernel(); !slices.Contains(e.candidateKernels(), k) {
+			t.Errorf("Recalibrate installed kernel %v, not one this host times", k)
 		}
 	}
 	close(stop)
