@@ -44,20 +44,22 @@
 //     calibrated gates; see Calibrate). Best general-purpose serving
 //     engine.
 //
-//   - Compact SoA arena (FlatCompact): 8 bytes per node split across
-//     parallel uint16 key / uint16 feature / packed int32 child slices.
-//     Split values are reduced — exactly, via per-feature total-order
-//     ranking — to 16-bit keys, and each interleaved group of rows is
-//     quantized by binary search before the walk. The cut tables are
-//     feature-pruned: only the columns the forest actually splits on
-//     are searched (and only the split-on count is bounded by the
-//     encoding, so wide sparse-split inputs compact fine). Predictions
-//     are bit-identical to FlatFLInt. Halves the arena footprint again,
-//     so roughly twice the forest fits in the same cache; it wins on
-//     big ensembles at batch scale. Forests exceeding the narrow
-//     encoding (per-feature distinct splits, per-tree size, classes,
-//     split-on features — probe with Compactable) gracefully fall back
-//     to the FLInt arena.
+//   - Compact SoA arena (FlatCompact): each node encoded in 8 bytes,
+//     uint16 key / uint16 feature / packed int32 children. Split values
+//     are reduced — exactly, via per-feature total-order ranking — to
+//     16-bit keys, and each row is quantized by binary search before
+//     the walk. The cut tables are feature-pruned: only the columns the
+//     forest actually splits on are searched (and only the split-on
+//     count is bounded by the encoding, so wide sparse-split inputs
+//     compact fine). Predictions are bit-identical to FlatFLInt. A walk
+//     touches half the AoS arena's bytes, so roughly twice the forest
+//     fits in the same cache; it wins on big ensembles. The engine holds
+//     two encodings of every node (parallel slices for the branchy
+//     kernel, one fused word for the others), so it keeps ~16 bytes per
+//     node resident where ArenaBytes reports the 8 a walk touches.
+//     Forests exceeding the narrow encoding (per-feature distinct
+//     splits, per-tree size, classes, split-on features — probe with
+//     Compactable) gracefully fall back to the FLInt arena.
 //
 // Batch work should go through PredictBatch (ephemeral workers) or a
 // persistent Batcher (zero-alloc steady state; concurrent Predict calls
@@ -109,7 +111,7 @@
 // walk itself needs one node-word gather per lane per level, and a
 // gather's latency is the latency of its slowest lane. KernelSIMDQuant
 // takes only the clean half: the 8-lane vector quantizer feeds the
-// scalar fused cascade, so it inherits the fused walk's gather-free
+// scalar fused walk, so it inherits the fused walk's gather-free
 // inner loop and wins wherever quantization (cost scaling with
 // features) is a large share of the row. KernelSIMD vectorizes both
 // phases: 8 cursors' node words and 8 quantized keys per gather, the
@@ -128,9 +130,11 @@
 //   - At construction, engines pick the kernel from the gate table's
 //     CompactFusedMin/CompactSIMDQuantMin/CompactSIMDMin byte
 //     thresholds (zero — every older table — keeps the kernel off;
-//     Calibrate measures them, and more aggressive kernels' gates
-//     outrank less aggressive ones where both apply; CompactSIMD16Min
-//     gates the dual-group width within the SIMD kernel).
+//     the default table sets CompactFusedMin to 1, so an uncalibrated
+//     compact engine runs fused; Calibrate measures them, and more
+//     aggressive kernels' gates outrank less aggressive ones where both
+//     apply; CompactSIMD16Min gates the dual-group width within the
+//     SIMD kernel).
 //   - Every calibration pass (CalibrateInterleave,
 //     CalibrateInterleaveRows, Batcher.Recalibrate) times each
 //     interleave width under every competing kernel — plus the width-16
@@ -145,6 +149,15 @@
 //     kernel and compaction threshold next to the width, LoadCalibration
 //     restores them (records written before the kernel axis existed
 //     load as branchy — the only kernel those deployments ever ran).
+//
+// The kernel governs full groups of rows only. A lone row (Predict,
+// PredictEncoded, PredictPrecoded: a block of one), and every row a
+// block leaves over after its full groups of the installed width — at
+// width 1, every row — walks its own trees four at a time on the fused
+// step, under every kernel: four cursors, each with its own tree base,
+// read the one row's ranks, and a cursor that reaches its leaf votes
+// and takes the next tree. A single row therefore keeps four node loads
+// in flight instead of one, and answers stay bit-identical.
 //
 // ISA gating and the portable fallback: DetectedISA reports the vector
 // instruction set the SIMD kernels run natively here ("avx2", or ""
@@ -492,7 +505,7 @@ type InterleaveGates = treeexec.InterleaveGates
 // node's child: KernelBranchy compares and branches per level,
 // KernelFused loads the node as one pre-packed word and computes the
 // child branch-free, KernelSIMDQuant vectorizes only the quantizer (the
-// gather-free half of the walk) and runs the fused cascade scalar, and
+// gather-free half of the walk) and runs the fused walk scalar, and
 // KernelSIMD runs the branch-free step 8 lanes per instruction in
 // vector registers where the host ISA allows — two software-pipelined
 // 8-lane groups with lane compaction at interleave width 16 (see the

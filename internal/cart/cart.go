@@ -18,9 +18,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
+	"flint/internal/core"
 	"flint/internal/dataset"
+	"flint/internal/ieee754"
 	"flint/internal/rf"
 )
 
@@ -108,6 +110,8 @@ func TrainForest(d *dataset.Dataset, cfg Config) (*rf.Forest, error) {
 		NumClasses:  d.NumClasses,
 		Trees:       make([]rf.Tree, cfg.NumTrees),
 	}
+	cols := keyColumns(d)
+	keys := make([]uint64, d.Len())
 	for t := 0; t < cfg.NumTrees; t++ {
 		rng := rand.New(rand.NewSource(cfg.Seed*1_000_003 + int64(t)))
 		idx := make([]int, d.Len())
@@ -122,6 +126,8 @@ func TrainForest(d *dataset.Dataset, cfg Config) (*rf.Forest, error) {
 		}
 		b := &builder{
 			data:     d,
+			cols:     cols,
+			keys:     keys,
 			cfg:      cfg,
 			maxFeat:  maxFeat,
 			rng:      rng,
@@ -157,9 +163,33 @@ func TrainTree(d *dataset.Dataset, maxDepth int, seed int64) (*rf.Tree, error) {
 	return &f.Trees[0], nil
 }
 
+// keyColumns copies the dataset's features column-major, each value as
+// its total-order key (core.PrecodeSplit32: -0 folded onto +0), so the
+// split search gathers one feature's samples from one contiguous column
+// and sorts plain integers. x <= s exactly when key(x) <= key(s) for
+// every non-NaN x, and Validate has rejected NaN.
+func keyColumns(d *dataset.Dataset) [][]uint32 {
+	cols := make([][]uint32, d.NumFeatures())
+	for f := range cols {
+		col := make([]uint32, d.Len())
+		for s, x := range d.Features {
+			col[s] = core.PrecodeSplit32(x[f])
+		}
+		cols[f] = col
+	}
+	return cols
+}
+
+// keyValue decodes a total-order key back to its float32 value.
+func keyValue(k uint32) float32 {
+	return math.Float32frombits(ieee754.FromTotalOrderKey32(k))
+}
+
 // builder grows one tree.
 type builder struct {
 	data     *dataset.Dataset
+	cols     [][]uint32 // keyColumns(data), shared by every tree
+	keys     []uint64   // bestSplit scratch, one word per sample
 	cfg      Config
 	maxFeat  int
 	rng      *rand.Rand
@@ -181,7 +211,7 @@ func (b *builder) grow(idx []int, depth int) int32 {
 	if !ok {
 		return b.leaf(hist)
 	}
-	left, right := partition(b.data, idx, feat, split)
+	left, right := partition(b.cols[feat], idx, split)
 	if len(left) < b.cfg.MinSamplesLeaf || len(right) < b.cfg.MinSamplesLeaf {
 		return b.leaf(hist)
 	}
@@ -241,20 +271,21 @@ func giniMass(hist []int64, n int64) float64 {
 	return float64(n) - sumSq/float64(n)
 }
 
-// splitCandidate is a sortable (value, label) pair.
-type splitCandidate struct {
-	v float32
-	y int32
-}
-
 // bestSplit scans maxFeat randomly chosen features for the Gini-optimal
 // split of the samples in idx. It returns ok=false when no feature admits
 // a separating threshold (all candidate features constant).
+//
+// Each feature's samples are sorted as one word apiece, key<<32 | label,
+// with the samples' feature keys from the column copy. The scan only
+// looks at boundaries between distinct values, where the left histogram
+// holds exactly the samples at or below the value whatever their order,
+// so the result depends neither on the order of idx nor on how ties
+// sort.
 func (b *builder) bestSplit(idx []int, hist []int64) (feat int, split float32, ok bool) {
 	n := int64(len(idx))
 	parent := giniMass(hist, n)
 	bestGain := 1e-12
-	cand := make([]splitCandidate, len(idx))
+	keys := b.keys[:len(idx)]
 
 	// Partial Fisher-Yates over the feature identity permutation gives a
 	// uniform random subset of maxFeat features.
@@ -264,13 +295,15 @@ func (b *builder) bestSplit(idx []int, hist []int64) (feat int, split float32, o
 		b.features[i], b.features[j] = b.features[j], b.features[i]
 	}
 
+	labels := b.data.Labels
 	for fi := 0; fi < b.maxFeat && fi < nf; fi++ {
 		f := b.features[fi]
+		col := b.cols[f]
 		for i, s := range idx {
-			cand[i] = splitCandidate{v: b.data.Features[s][f], y: b.data.Labels[s]}
+			keys[i] = uint64(col[s])<<32 | uint64(uint32(labels[s]))
 		}
-		sort.Slice(cand, func(i, j int) bool { return cand[i].v < cand[j].v })
-		if cand[0].v == cand[len(cand)-1].v {
+		slices.Sort(keys)
+		if keys[0]>>32 == keys[len(keys)-1]>>32 {
 			continue // constant feature
 		}
 		left := b.classBuf
@@ -278,10 +311,10 @@ func (b *builder) bestSplit(idx []int, hist []int64) (feat int, split float32, o
 			left[c] = 0
 		}
 		var nl int64
-		for i := 0; i < len(cand)-1; i++ {
-			left[cand[i].y]++
+		for i := 0; i < len(keys)-1; i++ {
+			left[uint32(keys[i])]++
 			nl++
-			if cand[i].v == cand[i+1].v {
+			if keys[i]>>32 == keys[i+1]>>32 {
 				continue
 			}
 			// right histogram = hist - left, impurity mass via sums.
@@ -298,7 +331,7 @@ func (b *builder) bestSplit(idx []int, hist []int64) (feat int, split float32, o
 			if gain > bestGain {
 				bestGain = gain
 				feat = f
-				split = midpoint(cand[i].v, cand[i+1].v)
+				split = midpoint(keyValue(uint32(keys[i]>>32)), keyValue(uint32(keys[i+1]>>32)))
 				ok = true
 			}
 		}
@@ -317,15 +350,20 @@ func midpoint(a, b float32) float32 {
 	return m
 }
 
-// partition splits idx by the predicate x[feat] <= split, preserving
-// relative order.
-func partition(d *dataset.Dataset, idx []int, feat int, split float32) (left, right []int) {
-	for _, s := range idx {
-		if d.Features[s][feat] <= split {
-			left = append(left, s)
+// partition reorders idx in place so the samples with x[feat] <= split
+// come first, and returns the two halves; col is feature feat's key
+// column. The order within each half is not kept: nothing downstream
+// depends on it (see bestSplit).
+func partition(col []uint32, idx []int, split float32) (left, right []int) {
+	key := core.PrecodeSplit32(split)
+	i, j := 0, len(idx)
+	for i < j {
+		if col[idx[i]] <= key {
+			i++
 		} else {
-			right = append(right, s)
+			j--
+			idx[i], idx[j] = idx[j], idx[i]
 		}
 	}
-	return left, right
+	return idx[:i], idx[i:]
 }

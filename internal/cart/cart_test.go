@@ -2,6 +2,8 @@ package cart
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"flint/internal/dataset"
@@ -336,5 +338,206 @@ func TestGiniMass(t *testing.T) {
 	}
 	if g := giniMass(nil, 0); g != 0 {
 		t.Errorf("giniMass empty = %v", g)
+	}
+}
+
+// refTrainForest is TrainForest with the split search the trainer used
+// before its integer-key rewrite: at every node, a fresh (value, label)
+// slice per candidate feature, gathered from the row-major features and
+// sorted with sort.Slice, and a stable out-of-place partition. It is the
+// reference TestTrainMatchesReference pins the rewrite against.
+func refTrainForest(d *dataset.Dataset, cfg Config) *rf.Forest {
+	cfg = cfg.withDefaults()
+	nf := d.NumFeatures()
+	maxFeat := cfg.MaxFeatures
+	switch {
+	case maxFeat == 0:
+		maxFeat = int(math.Round(math.Sqrt(float64(nf))))
+		if maxFeat < 1 {
+			maxFeat = 1
+		}
+	case maxFeat < 0 || maxFeat > nf:
+		maxFeat = nf
+	}
+	forest := &rf.Forest{NumFeatures: nf, NumClasses: d.NumClasses, Trees: make([]rf.Tree, cfg.NumTrees)}
+	for t := 0; t < cfg.NumTrees; t++ {
+		rng := rand.New(rand.NewSource(cfg.Seed*1_000_003 + int64(t)))
+		idx := make([]int, d.Len())
+		for i := range idx {
+			if cfg.DisableBootstrap {
+				idx[i] = i
+			} else {
+				idx[i] = rng.Intn(d.Len())
+			}
+		}
+		b := &builder{data: d, cfg: cfg, maxFeat: maxFeat, rng: rng,
+			features: make([]int, nf), classBuf: make([]int64, d.NumClasses)}
+		for i := range b.features {
+			b.features[i] = i
+		}
+		refGrow(b, idx, 0)
+		forest.Trees[t] = rf.Tree{Nodes: b.nodes}
+	}
+	return forest
+}
+
+// refGrow is builder.grow over refBestSplit and refPartition.
+func refGrow(b *builder, idx []int, depth int) int32 {
+	hist := b.classHist(idx)
+	if len(idx) < b.cfg.MinSamplesSplit || (b.cfg.MaxDepth > 0 && depth >= b.cfg.MaxDepth) || isPure(hist) {
+		return b.leaf(hist)
+	}
+	feat, split, ok := refBestSplit(b, idx, hist)
+	if !ok {
+		return b.leaf(hist)
+	}
+	left, right := refPartition(b.data, idx, feat, split)
+	if len(left) < b.cfg.MinSamplesLeaf || len(right) < b.cfg.MinSamplesLeaf {
+		return b.leaf(hist)
+	}
+	me := int32(len(b.nodes))
+	b.nodes = append(b.nodes, rf.Node{Feature: int32(feat), Split: split,
+		LeftFraction: float64(len(left)) / float64(len(idx))})
+	l := refGrow(b, left, depth+1)
+	r := refGrow(b, right, depth+1)
+	b.nodes[me].Left = l
+	b.nodes[me].Right = r
+	return me
+}
+
+// refBestSplit is the reflection-sort split search.
+func refBestSplit(b *builder, idx []int, hist []int64) (feat int, split float32, ok bool) {
+	type splitCandidate struct {
+		v float32
+		y int32
+	}
+	n := int64(len(idx))
+	parent := giniMass(hist, n)
+	bestGain := 1e-12
+	cand := make([]splitCandidate, len(idx))
+	nf := len(b.features)
+	for i := 0; i < b.maxFeat && i < nf; i++ {
+		j := i + b.rng.Intn(nf-i)
+		b.features[i], b.features[j] = b.features[j], b.features[i]
+	}
+	for fi := 0; fi < b.maxFeat && fi < nf; fi++ {
+		f := b.features[fi]
+		for i, s := range idx {
+			cand[i] = splitCandidate{v: b.data.Features[s][f], y: b.data.Labels[s]}
+		}
+		sort.Slice(cand, func(i, j int) bool { return cand[i].v < cand[j].v })
+		if cand[0].v == cand[len(cand)-1].v {
+			continue
+		}
+		left := b.classBuf
+		for c := range left {
+			left[c] = 0
+		}
+		var nl int64
+		for i := 0; i < len(cand)-1; i++ {
+			left[cand[i].y]++
+			nl++
+			if cand[i].v == cand[i+1].v {
+				continue
+			}
+			sumSqL, sumSqR := 0.0, 0.0
+			for c := range left {
+				l := float64(left[c])
+				r := float64(hist[c] - left[c])
+				sumSqL += l * l
+				sumSqR += r * r
+			}
+			nr := n - nl
+			child := (float64(nl) - sumSqL/float64(nl)) + (float64(nr) - sumSqR/float64(nr))
+			if gain := parent - child; gain > bestGain {
+				bestGain = gain
+				feat = f
+				split = midpoint(cand[i].v, cand[i+1].v)
+				ok = true
+			}
+		}
+	}
+	return feat, split, ok
+}
+
+// refPartition is the stable out-of-place partition.
+func refPartition(d *dataset.Dataset, idx []int, feat int, split float32) (left, right []int) {
+	for _, s := range idx {
+		if d.Features[s][feat] <= split {
+			left = append(left, s)
+		} else {
+			right = append(right, s)
+		}
+	}
+	return left, right
+}
+
+// sameForest reports the first node whose fields differ bit for bit
+// between two forests, or ok.
+func sameForest(a, b *rf.Forest) (tree, node int, ok bool) {
+	if len(a.Trees) != len(b.Trees) {
+		return -1, -1, false
+	}
+	for ti := range a.Trees {
+		an, bn := a.Trees[ti].Nodes, b.Trees[ti].Nodes
+		if len(an) != len(bn) {
+			return ti, -1, false
+		}
+		for ni := range an {
+			x, y := an[ni], bn[ni]
+			if x.Feature != y.Feature || x.Left != y.Left || x.Right != y.Right || x.Class != y.Class ||
+				math.Float32bits(x.Split) != math.Float32bits(y.Split) ||
+				math.Float64bits(x.LeftFraction) != math.Float64bits(y.LeftFraction) {
+				return ti, ni, false
+			}
+		}
+	}
+	return 0, 0, true
+}
+
+// TestTrainMatchesReference pins the integer-key split search to the
+// reflection-sort reference: every node field of every tree must match
+// bit for bit, on all five workloads under a bounded depth, unlimited
+// depth with one candidate feature per node (flintperf large's shape)
+// and all features without bootstrap — and on a dataset full of signed
+// zeros and ties, where the key fold of -0 onto +0 and the in-place
+// partition's reordering must not show.
+func TestTrainMatchesReference(t *testing.T) {
+	cfgs := []Config{
+		{NumTrees: 3, MaxDepth: 20, Seed: 7},
+		{NumTrees: 2, MaxFeatures: 1, Seed: 8},
+		{NumTrees: 2, MaxFeatures: -1, DisableBootstrap: true, Seed: 9},
+	}
+	for _, name := range dataset.Names() {
+		d, err := dataset.Generate(name, 600, 21)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ci, cfg := range cfgs {
+			got, err := TrainForest(d, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ti, ni, ok := sameForest(got, refTrainForest(d, cfg)); !ok {
+				t.Fatalf("%s config %d: tree %d node %d differs from the reference", name, ci, ti, ni)
+			}
+		}
+	}
+	zeros := &dataset.Dataset{Name: "zeros", NumClasses: 3}
+	negZero := float32(math.Copysign(0, -1))
+	vals := []float32{negZero, 0, negZero, 1, -1, math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, 2}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 300; i++ {
+		zeros.Features = append(zeros.Features, []float32{vals[rng.Intn(len(vals))], vals[rng.Intn(len(vals))]})
+		zeros.Labels = append(zeros.Labels, int32(rng.Intn(3)))
+	}
+	for ci, cfg := range cfgs {
+		got, err := TrainForest(zeros, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ti, ni, ok := sameForest(got, refTrainForest(zeros, cfg)); !ok {
+			t.Fatalf("zeros config %d: tree %d node %d differs from the reference", ci, ti, ni)
+		}
 	}
 }

@@ -49,13 +49,15 @@
 // # Compact SoA arena
 //
 // The FlatCompact variant re-encodes the same forest at 8 bytes per
-// node: parallel uint16 key / uint16 feature / packed int32 child
-// slices, with split values reduced exactly to per-feature total-order
-// ranks and each row quantized once by binary search before the walk
-// (flat_compact.go). Predictions are bit-identical to FlatFLInt while
-// the arena footprint halves, so roughly twice the forest fits in the
-// same cache level; forests exceeding the narrow encoding fall back to
-// the FLInt arena (probe with Compactable).
+// node: uint16 key / uint16 feature / packed int32 children, with split
+// values reduced exactly to per-feature total-order ranks and each row
+// quantized once by binary search before the walk (flat_compact.go).
+// Predictions are bit-identical to FlatFLInt while the footprint one
+// walk touches halves, so roughly twice the forest fits in the same
+// cache level. The engine keeps each node in two such encodings (the
+// branchy kernel's parallel slices and the fused word), ~16 bytes per
+// node resident. Forests exceeding the narrow encoding fall back to the
+// FLInt arena (probe with Compactable).
 //
 // Engines are immutable after construction and safe for concurrent use;
 // the Predict entry points allocate nothing on the hot path except when

@@ -29,12 +29,15 @@ const (
 	// node against a per-vector precoded input (the key-space precoding
 	// extension).
 	FlatPrecoded
-	// FlatCompact stores the forest as the quantized structure-of-arrays
-	// arena: 8 bytes per node split across parallel uint16 key, uint16
-	// feature and packed int32 child slices, with split values reduced
-	// to exact per-feature total-order ranks (see flat_compact.go).
-	// Forests exceeding the narrow encoding's limits fall back to the
-	// FlatFLInt arena; probe with Compactable.
+	// FlatCompact stores the forest as the quantized arena: each node
+	// encoded in 8 bytes (uint16 key, uint16 feature, packed int32
+	// children), with split values reduced to exact per-feature
+	// total-order ranks (see flat_compact.go). The engine holds every
+	// node twice — as parallel slices for the branchy kernel and as one
+	// fused word for the others — so it keeps ~16 bytes per node
+	// resident, though one walk touches only 8. Forests exceeding the
+	// narrow encoding's limits fall back to the FlatFLInt arena; probe
+	// with Compactable.
 	FlatCompact
 )
 
@@ -75,7 +78,11 @@ func (v FlatVariant) String() string {
 // past the cache comfort zone the FLInt and compact kernels walk rows
 // in interleaved groups of 2, 4 or 8 register-resident cursors so the
 // core overlaps their node fetches (see flat_interleave.go for the
-// runtime-calibrated gates).
+// runtime-calibrated gates). On the compact arena a lone row, and every
+// row of a block left over after its full groups, walks four of its
+// trees at once instead, whatever the kernel: four cursors, each on its
+// own tree, share the row's ranks, so a single row keeps four node
+// loads in flight (flat_fused.go).
 type FlatForestEngine struct {
 	arena   []node  // inner nodes of all trees, contiguous (AoS variants)
 	roots   []int32 // per-tree entry: arena index (tree base for compact), or ^class for leaf-only trees
@@ -347,8 +354,9 @@ func (e *FlatForestEngine) classify2FLInt(x0, x1 []int32, root int32) (int32, in
 }
 
 // voteEncoded tallies every tree's class for a raw bit-pattern vector
-// into counts (length numClasses, zeroed by the caller). The variant
-// switch is hoisted out of the per-tree loop.
+// into counts (length numClasses, zeroed by the caller) on the AoS
+// arenas; compact engines vote through voteRowFused. The variant switch
+// is hoisted out of the per-tree loop.
 func (e *FlatForestEngine) voteEncoded(xi []int32, counts []int32) {
 	switch e.variant {
 	case FlatFLInt:
@@ -359,27 +367,6 @@ func (e *FlatForestEngine) voteEncoded(xi []int32, counts []int32) {
 		for _, root := range e.roots {
 			counts[e.classifyFloat(xi, root)]++
 		}
-	case FlatCompact:
-		var stack [maxStackQuantizedFeatures]uint16
-		var q []uint16
-		if e.numPruned <= maxStackQuantizedFeatures {
-			q = stack[:e.numPruned]
-		} else {
-			q = make([]uint16, e.numPruned)
-		}
-		e.quantizeBits(q, xi)
-		// A single row offers the SIMD kernel no group to vectorize, so
-		// simd mode serves one-row calls through the scalar fused form —
-		// the same branch-free step, bit-identical predictions.
-		if modeKernel(e.mode.Load()) != KernelBranchy {
-			for _, root := range e.roots {
-				counts[e.classifyCompactFused(q, root)]++
-			}
-			break
-		}
-		for _, root := range e.roots {
-			counts[e.classifyCompact(q, root)]++
-		}
 	default:
 		for _, root := range e.roots {
 			counts[e.classifyTotalOrder(xi, root)]++
@@ -387,17 +374,24 @@ func (e *FlatForestEngine) voteEncoded(xi []int32, counts []int32) {
 	}
 }
 
-// maxStackQuantizedFeatures bounds the stack buffer the single-row
-// compact path quantizes into; forests splitting on more features
-// allocate (the bound is on the pruned count, not the input width).
-// Batch paths always use engine scratch and stay allocation-free.
+// maxStackQuantizedFeatures bounds the stack buffer a single compact row
+// quantizes into; forests splitting on more features allocate (the
+// bound is on the pruned count, not the input width). Batch paths
+// always use engine scratch and stay allocation-free.
 const maxStackQuantizedFeatures = 64
 
 // PredictEncoded returns the majority-vote class for a raw bit-pattern
 // vector (core.EncodeFeatures32 output). It is valid for every variant:
 // the precoded arena transforms each load into key space, matching the
-// total-order engine's semantics.
+// total-order engine's semantics, and a compact engine ranks the row
+// and walks its trees four at a time (predictRanked).
 func (e *FlatForestEngine) PredictEncoded(xi []int32) int32 {
+	if e.variant == FlatCompact {
+		var qs [maxStackQuantizedFeatures]uint16
+		q := e.rowRanks(&qs)
+		e.quantizeBitsFused(q, xi)
+		return e.predictRanked(q)
+	}
 	var stack [maxStackClasses]int32
 	counts := voteSlice(&stack, e.numClasses)
 	e.voteEncoded(xi, counts)
@@ -407,35 +401,17 @@ func (e *FlatForestEngine) PredictEncoded(xi []int32) int32 {
 // PredictPrecoded returns the majority-vote class for a precoded key
 // vector (core.PrecodeFeatures32 output). Exact for the FlatPrecoded
 // variant (whose arena stores total-order keys) and for FlatCompact
-// (which quantizes the keys into its rank space); other variants store
-// keys the precoded input cannot be compared against and would walk
-// garbage.
+// (which ranks the keys into its cut tables); other variants store keys
+// the precoded input cannot be compared against and would walk garbage.
 func (e *FlatForestEngine) PredictPrecoded(keys []uint32) int32 {
+	if e.variant == FlatCompact {
+		var qs [maxStackQuantizedFeatures]uint16
+		q := e.rowRanks(&qs)
+		e.quantizeKeysFused(q, keys)
+		return e.predictRanked(q)
+	}
 	var stack [maxStackClasses]int32
 	counts := voteSlice(&stack, e.numClasses)
-	if e.variant == FlatCompact {
-		var qstack [maxStackQuantizedFeatures]uint16
-		var q []uint16
-		if e.numPruned <= maxStackQuantizedFeatures {
-			q = qstack[:e.numPruned]
-		} else {
-			q = make([]uint16, e.numPruned)
-		}
-		// As in voteEncoded, simd mode's single-row path runs the scalar
-		// fused form: no group, no vector, identical predictions.
-		if modeKernel(e.mode.Load()) != KernelBranchy {
-			e.quantizeKeysFused(q, keys)
-			for _, root := range e.roots {
-				counts[e.classifyCompactFused(q, root)]++
-			}
-			return rf.Argmax(counts)
-		}
-		e.quantizeKeys(q, keys)
-		for _, root := range e.roots {
-			counts[e.classifyCompact(q, root)]++
-		}
-		return rf.Argmax(counts)
-	}
 	for _, root := range e.roots {
 		counts[e.classifyPrecoded(keys, root)]++
 	}
@@ -443,10 +419,17 @@ func (e *FlatForestEngine) PredictPrecoded(keys []uint32) int32 {
 }
 
 // Predict encodes x for the engine's variant and classifies it,
-// satisfying rf.Predictor.
+// satisfying rf.Predictor. A compact engine ranks x directly, with no
+// bit-pattern detour.
 func (e *FlatForestEngine) Predict(x []float32) int32 {
-	if e.variant == FlatPrecoded {
+	switch e.variant {
+	case FlatPrecoded:
 		return e.PredictPrecoded(core.PrecodeFeatures32(make([]uint32, 0, 64), x))
+	case FlatCompact:
+		var qs [maxStackQuantizedFeatures]uint16
+		q := e.rowRanks(&qs)
+		e.quantizeBlockFused([][]float32{x}, q)
+		return e.predictRanked(q)
 	}
 	return e.PredictEncoded(core.EncodeFeatures32(make([]int32, 0, 64), x))
 }

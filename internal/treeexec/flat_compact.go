@@ -21,7 +21,9 @@ import (
 // The same three fields are additionally mirrored fused into one word
 // per node, nodes64[i] = key16 | feat16<<16 | kids32<<32, so the
 // branch-free kernel (flat_fused.go) resolves a whole walk step from a
-// single load; a walk reads one encoding or the other, never both.
+// single load; a walk reads one encoding or the other, never both. An
+// engine therefore holds ~16 bytes per node resident, of which one walk
+// touches 8 (see ArenaBytes).
 //
 // The split key is not the float bit pattern but its *rank* among the
 // feature's distinct split values across the whole forest, taken in
@@ -245,33 +247,6 @@ func packKids(left, right int32) int32 {
 	return int32(uint32(uint16(int16(left))) | uint32(uint16(int16(right)))<<16)
 }
 
-// quantizeBits maps one row of raw float bit patterns (EncodeFeatures32
-// output) into the arena's pruned rank space: dst[p] is the number of
-// distinct split keys strictly below the row's value on pruned feature
-// p, for the numPruned features the forest splits on — input columns no
-// node reads are never searched. One pass per row, amortized over every
-// node visit of the forest walk — the compact analog of the precoded
-// variant's key transformation.
-func (e *FlatForestEngine) quantizeBits(dst []uint16, xi []int32) {
-	cuts, cutLo := e.cuts, e.cutLo
-	for p, f := range e.prunedOrig {
-		key := ieee754.TotalOrderKey32(uint32(xi[f]))
-		lo, hi := cutLo[p], cutLo[p+1]
-		// Binary search for the first cut >= key; the count of cuts
-		// below key is that index. Overflow-safe midpoint: offsets can
-		// approach MaxInt32 on maximal forests.
-		for lo < hi {
-			mid := lo + (hi-lo)/2
-			if cuts[mid] >= key {
-				hi = mid
-			} else {
-				lo = mid + 1
-			}
-		}
-		dst[p] = uint16(lo - cutLo[p])
-	}
-}
-
 // quantizeBlock quantizes a group of up to 8 float rows at once into
 // consecutive numPruned-wide lanes of dst (row i fills
 // dst[i*numPruned : (i+1)*numPruned]). The loop is feature-major: one
@@ -297,26 +272,6 @@ func (e *FlatForestEngine) quantizeBlock(rows [][]float32, dst []uint16) {
 			}
 			dst[i*nq+p] = uint16(lo - lo0)
 		}
-	}
-}
-
-// quantizeKeys is quantizeBits for inputs already in total-order key
-// space (core.PrecodeFeatures32 output), letting PredictPrecoded serve
-// the compact variant exactly.
-func (e *FlatForestEngine) quantizeKeys(dst []uint16, keys []uint32) {
-	cuts, cutLo := e.cuts, e.cutLo
-	for p, f := range e.prunedOrig {
-		key := keys[f]
-		lo, hi := cutLo[p], cutLo[p+1]
-		for lo < hi {
-			mid := lo + (hi-lo)/2
-			if cuts[mid] >= key {
-				hi = mid
-			} else {
-				lo = mid + 1
-			}
-		}
-		dst[p] = uint16(lo - cutLo[p])
 	}
 }
 

@@ -425,6 +425,8 @@ func TestCompactFallbackReasons(t *testing.T) {
 // acceptance criterion: steady-state Batcher prediction over the
 // compact arena allocates nothing at any interleave width, on both a
 // <=8-class workload (stack votes) and an 11-class one (scratch votes).
+// Where a row's ranks and votes fit the stack, a lone row through
+// Predict, PredictEncoded or PredictPrecoded allocates nothing either.
 func TestCompactZeroAllocSteadyState(t *testing.T) {
 	for _, ds := range []string{"magic", "sensorless"} {
 		ds := ds
@@ -437,6 +439,9 @@ func TestCompactZeroAllocSteadyState(t *testing.T) {
 			if e.Variant() != FlatCompact {
 				t.Fatalf("fell back to %v", e.Variant())
 			}
+			x := d.Features[0]
+			xi := core.EncodeFeatures32(nil, x)
+			keys := core.PrecodeFeatures32(nil, x)
 			for _, width := range []int{1, 2, 4, 8} {
 				e.SetInterleave(width)
 				b := NewBatcher(e, 2, 7)
@@ -448,13 +453,19 @@ func TestCompactZeroAllocSteadyState(t *testing.T) {
 					t.Errorf("width=%d: compact Batcher.Predict allocates %.1f objects per batch, want 0", width, avg)
 				}
 				b.Close()
-			}
-			if f.NumFeatures <= maxStackQuantizedFeatures && f.NumClasses <= maxStackClasses {
-				xi := core.EncodeFeatures32(nil, d.Features[0])
-				if avg := testing.AllocsPerRun(100, func() {
-					e.PredictEncoded(xi)
-				}); avg != 0 {
-					t.Errorf("compact PredictEncoded allocates %.1f objects, want 0", avg)
+				// A lone row is a block of one through the lane dealer,
+				// whatever width and kernel the batch path runs.
+				if f.NumFeatures > maxStackQuantizedFeatures || f.NumClasses > maxStackClasses {
+					continue
+				}
+				for name, predict := range map[string]func(){
+					"Predict":         func() { e.Predict(x) },
+					"PredictEncoded":  func() { e.PredictEncoded(xi) },
+					"PredictPrecoded": func() { e.PredictPrecoded(keys) },
+				} {
+					if avg := testing.AllocsPerRun(100, predict); avg != 0 {
+						t.Errorf("width=%d kernel=%v: compact %s allocates %.1f objects, want 0", width, e.Kernel(), name, avg)
+					}
 				}
 			}
 		})

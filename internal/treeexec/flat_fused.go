@@ -31,10 +31,24 @@ import (
 // select now sits on the load's critical path — which is why neither
 // kernel dominates: calibration times both and the gates/mode decide.
 //
-// The quantizers get the same treatment: quantizeBlockFused and
-// quantizeKeysFused run a branchless binary search (fixed iteration
-// count, arithmetic select of the half to keep) over the same cut
-// tables, producing identical ranks.
+// The quantizers get the same treatment: quantizeBlockFused and its
+// one-row forms run a branchless binary search (fixed iteration count,
+// arithmetic select of the half to keep) over the same cut tables,
+// producing the ranks the branchy search would.
+//
+// One block loop, predictBlockCompactFusedQ, deals the walk's lanes.
+// A lane is a (tree, row) pair: a tree base and a cursor stepped
+// against one row's ranks. Full groups of the installed width w (2, 4
+// or 8) keep the row-interleaved order, one tree and w rows per walk.
+// Every leftover row — all of them at w = 1 — walks its own trees four
+// at a time (voteRowFused): four lanes with four tree bases that share
+// the row's rank vector, each dealt the next tree when it leafs, so four
+// independent node loads are in flight where a one-tree walk has one.
+// A lone row (Predict, PredictEncoded, PredictPrecoded) is a block of
+// one and takes the same path under every kernel. Each width keeps its
+// cursors unrolled in registers: a loop over an array of cursors
+// measured 12-120% slower, because the compiler keeps array elements in
+// memory.
 
 // packNode64 fuses one compact node into a single word: the split rank
 // in the low 16 bits, the pruned feature index in the next 16, and the
@@ -50,21 +64,6 @@ func packNode64(rank, feat uint16, kids int32) uint64 {
 func fusedStep(w uint64, q []uint16) int {
 	b := (uint32(uint16(w)) - uint32(q[uint16(w>>16)])) >> 31
 	return int(int16(uint32(w>>32) >> (b << 4)))
-}
-
-// classifyCompactFused walks one tree of the compact arena for one
-// quantized row using the fused branch-free step.
-func (e *FlatForestEngine) classifyCompactFused(q []uint16, root int32) int32 {
-	if root < 0 {
-		return ^root
-	}
-	nodes := e.nodes64
-	base := int(root)
-	rel := 0
-	for rel >= 0 {
-		rel = fusedStep(nodes[base+rel], q)
-	}
-	return int32(^rel)
 }
 
 // classify2CompactFused walks one tree for two quantized rows with
@@ -161,8 +160,8 @@ func (e *FlatForestEngine) finishCompactFused(q []uint16, base, rel int) int32 {
 }
 
 // branchlessRank counts the cuts in cuts[lo:hi] strictly below key —
-// the same rank the branchy binary search in quantizeBits produces —
-// without a data-dependent branch: each halving keeps the upper half by
+// the rank a branchy binary search produces — without a
+// data-dependent branch: each halving keeps the upper half by
 // adding half*m where m in {0, 1} is computed arithmetically from the
 // probe (the uint64 subtraction of two zero-extended uint32 keys
 // underflows, setting bit 63, exactly when the probe is below key). The
@@ -201,9 +200,18 @@ func (e *FlatForestEngine) quantizeBlockFused(rows [][]float32, dst []uint16) {
 	}
 }
 
-// quantizeKeysFused is quantizeKeys with the branchless search, for
-// inputs already in total-order key space (core.PrecodeFeatures32
-// output).
+// quantizeBitsFused ranks one row of raw float bit patterns
+// (core.EncodeFeatures32 output) into dst, one branchless search per
+// pruned feature; input columns no node reads are never searched.
+func (e *FlatForestEngine) quantizeBitsFused(dst []uint16, xi []int32) {
+	cuts, cutLo := e.cuts, e.cutLo
+	for p, f := range e.prunedOrig {
+		dst[p] = branchlessRank(cuts, cutLo[p], cutLo[p+1], ieee754.TotalOrderKey32(uint32(xi[f])))
+	}
+}
+
+// quantizeKeysFused is quantizeBitsFused for inputs already in
+// total-order key space (core.PrecodeFeatures32 output).
 func (e *FlatForestEngine) quantizeKeysFused(dst []uint16, keys []uint32) {
 	cuts, cutLo := e.cuts, e.cutLo
 	for p, f := range e.prunedOrig {
@@ -211,107 +219,160 @@ func (e *FlatForestEngine) quantizeKeysFused(dst []uint16, keys []uint32) {
 	}
 }
 
-// predictBlockCompactFused is predictBlockCompact on the fused kernel:
-// identical group structure and scratch layout, with the branchless
-// quantizer and the branch-free interleaved walks.
+// laneStart returns a tree lane's arena base and first cursor: the
+// tree's base and cursor 0, or — for a leaf-only tree, whose root is
+// ^class — base 0 and the leaf word itself, a lane that starts
+// finished.
+func laneStart(root int32) (base, rel int) {
+	if root < 0 {
+		return 0, int(root)
+	}
+	return int(root), 0
+}
+
+// classifyCompactFused walks one tree of the compact arena for one
+// quantized row.
+func (e *FlatForestEngine) classifyCompactFused(q []uint16, root int32) int32 {
+	base, rel := laneStart(root)
+	return e.finishCompactFused(q, base, rel)
+}
+
+// voteRowFused tallies every tree's class for one quantized row into
+// votes (zeroed by the caller), walking four trees at a time: the
+// row-interleaved walks' lock-step loop with the roles swapped, each
+// lane carrying its own tree base while all four read the same ranks.
+// When a lane leafs, the loop stops, dealLane votes it and deals it the
+// next tree, and the loop resumes, so four node loads stay in flight
+// until the trees run out. The lanes still walking then finish on their
+// own.
+func (e *FlatForestEngine) voteRowFused(q []uint16, votes []int32) {
+	roots := e.roots
+	if len(roots) < 4 {
+		for _, root := range roots {
+			votes[e.classifyCompactFused(q, root)]++
+		}
+		return
+	}
+	nodes := e.nodes64
+	b0, r0 := laneStart(roots[0])
+	b1, r1 := laneStart(roots[1])
+	b2, r2 := laneStart(roots[2])
+	b3, r3 := laneStart(roots[3])
+	for t := 4; ; {
+		for r0 >= 0 && r1 >= 0 && r2 >= 0 && r3 >= 0 {
+			w0, w1, w2, w3 := nodes[b0+r0], nodes[b1+r1], nodes[b2+r2], nodes[b3+r3]
+			r0 = fusedStep(w0, q)
+			r1 = fusedStep(w1, q)
+			r2 = fusedStep(w2, q)
+			r3 = fusedStep(w3, q)
+		}
+		if t == len(roots) {
+			break
+		}
+		b0, r0, t = e.dealLane(votes, b0, r0, t)
+		b1, r1, t = e.dealLane(votes, b1, r1, t)
+		b2, r2, t = e.dealLane(votes, b2, r2, t)
+		b3, r3, t = e.dealLane(votes, b3, r3, t)
+	}
+	votes[e.finishCompactFused(q, b0, r0)]++
+	votes[e.finishCompactFused(q, b1, r1)]++
+	votes[e.finishCompactFused(q, b2, r2)]++
+	votes[e.finishCompactFused(q, b3, r3)]++
+}
+
+// dealLane hands a leafed lane (rel < 0) of voteRowFused the next tree
+// t, after voting its class; a lane still walking, or any lane once the
+// trees run out, is returned as it is.
+func (e *FlatForestEngine) dealLane(votes []int32, base, rel, t int) (int, int, int) {
+	if rel >= 0 || t == len(e.roots) {
+		return base, rel, t
+	}
+	votes[^rel]++
+	base, rel = laneStart(e.roots[t])
+	return base, rel, t + 1
+}
+
+// rowRanks returns a numPruned-long rank buffer for one row, backed by
+// stack when the pruned feature count fits it.
+func (e *FlatForestEngine) rowRanks(stack *[maxStackQuantizedFeatures]uint16) []uint16 {
+	if e.numPruned <= maxStackQuantizedFeatures {
+		return stack[:e.numPruned]
+	}
+	return make([]uint16, e.numPruned)
+}
+
+// predictRanked classifies one quantized row of a compact engine as a
+// block of one: the row walks its trees four at a time, exactly as a
+// leftover row of a batch block does.
+func (e *FlatForestEngine) predictRanked(q []uint16) int32 {
+	var stack [maxStackClasses]int32
+	votes := voteSlice(&stack, e.numClasses)
+	e.voteRowFused(q, votes)
+	return rf.Argmax(votes)
+}
+
+// predictBlockCompactFused is the fused kernel's block loop with the
+// scalar branchless quantizer.
 func (e *FlatForestEngine) predictBlockCompactFused(rows [][]float32, out []int32, s *flatScratch, width int) {
 	e.predictBlockCompactFusedQ(rows, out, s, width, false)
 }
 
-// predictBlockCompactFusedQ is the fused block loop with a selectable
-// quantizer: simdQ false runs the scalar branchless search per (row,
-// feature); simdQ true ranks each feature's whole group in one 8-lane
-// vector search (the KernelSIMDQuant hybrid — see flat_simd16.go).
-// Both produce identical ranks, so the walks downstream are untouched.
+// predictBlockCompactFusedQ deals one block's (tree, row) lanes. Full
+// groups of the width's g rows (g = 2, 4 or 8; width 16 walks as 8)
+// quantize together — simdQ selects the 8-lane vector search of
+// KernelSIMDQuant (flat_simd16.go) over the scalar branchless one,
+// identical ranks either way — and walk each tree with g row cursors.
+// The fewer than g rows left over, every row at width 1, are quantized
+// one at a time and walk their trees four at a time (voteRowFused).
 func (e *FlatForestEngine) predictBlockCompactFusedQ(rows [][]float32, out []int32, s *flatScratch, width int, simdQ bool) {
 	nq := e.numPruned
 	nc := e.numClasses
+	g := 1
+	switch {
+	case width >= 8:
+		g = 8
+	case width >= 4:
+		g = 4
+	case width >= 2:
+		g = 2
+	}
+	var qs [8][]uint16
+	for i := 0; i < g; i++ {
+		qs[i] = s.q[i*nq : (i+1)*nq]
+	}
 	b := 0
-	if width >= 8 {
-		var q8 [8][]uint16
-		for i := range q8 {
-			q8[i] = s.q[i*nq : (i+1)*nq]
+	for ; g > 1 && b+g <= len(rows); b += g {
+		if simdQ {
+			e.quantizeBlockSIMD(rows[b:b+g], s.q)
+		} else {
+			e.quantizeBlockFused(rows[b:b+g], s.q)
 		}
+		var stack [8][maxStackClasses]int32
+		lanes := voteLanes(&stack, s.votes, nc, g)
 		var cls [8]int32
-		for ; b+8 <= len(rows); b += 8 {
-			if simdQ {
-				e.quantizeBlockSIMD(rows[b:b+8], s.q)
-			} else {
-				e.quantizeBlockFused(rows[b:b+8], s.q)
+		for _, root := range e.roots {
+			switch g {
+			case 8:
+				e.classify8CompactFused(&qs, root, &cls)
+			case 4:
+				cls[0], cls[1], cls[2], cls[3] = e.classify4CompactFused(qs[0], qs[1], qs[2], qs[3], root)
+			default:
+				cls[0], cls[1] = e.classify2CompactFused(qs[0], qs[1], root)
 			}
-			var stack [8][maxStackClasses]int32
-			lanes := voteLanes(&stack, s.votes, nc, 8)
-			for _, root := range e.roots {
-				e.classify8CompactFused(&q8, root, &cls)
-				lanes[0][cls[0]]++
-				lanes[1][cls[1]]++
-				lanes[2][cls[2]]++
-				lanes[3][cls[3]]++
-				lanes[4][cls[4]]++
-				lanes[5][cls[5]]++
-				lanes[6][cls[6]]++
-				lanes[7][cls[7]]++
-			}
-			for i := 0; i < 8; i++ {
-				out[b+i] = rf.Argmax(lanes[i])
+			for i := 0; i < g; i++ {
+				lanes[i][cls[i]]++
 			}
 		}
-	}
-	if width >= 4 {
-		q0, q1 := s.q[0*nq:1*nq], s.q[1*nq:2*nq]
-		q2, q3 := s.q[2*nq:3*nq], s.q[3*nq:4*nq]
-		for ; b+4 <= len(rows); b += 4 {
-			if simdQ {
-				e.quantizeBlockSIMD(rows[b:b+4], s.q)
-			} else {
-				e.quantizeBlockFused(rows[b:b+4], s.q)
-			}
-			var stack [8][maxStackClasses]int32
-			lanes := voteLanes(&stack, s.votes, nc, 4)
-			for _, root := range e.roots {
-				c0, c1, c2, c3 := e.classify4CompactFused(q0, q1, q2, q3, root)
-				lanes[0][c0]++
-				lanes[1][c1]++
-				lanes[2][c2]++
-				lanes[3][c3]++
-			}
-			out[b] = rf.Argmax(lanes[0])
-			out[b+1] = rf.Argmax(lanes[1])
-			out[b+2] = rf.Argmax(lanes[2])
-			out[b+3] = rf.Argmax(lanes[3])
-		}
-	}
-	if width >= 2 {
-		q0, q1 := s.q[0*nq:1*nq], s.q[1*nq:2*nq]
-		for ; b+2 <= len(rows); b += 2 {
-			if simdQ {
-				e.quantizeBlockSIMD(rows[b:b+2], s.q)
-			} else {
-				e.quantizeBlockFused(rows[b:b+2], s.q)
-			}
-			var stack [8][maxStackClasses]int32
-			lanes := voteLanes(&stack, s.votes, nc, 2)
-			for _, root := range e.roots {
-				c0, c1 := e.classify2CompactFused(q0, q1, root)
-				lanes[0][c0]++
-				lanes[1][c1]++
-			}
-			out[b] = rf.Argmax(lanes[0])
-			out[b+1] = rf.Argmax(lanes[1])
+		for i := 0; i < g; i++ {
+			out[b+i] = rf.Argmax(lanes[i])
 		}
 	}
 	q := s.q[:nq]
 	for ; b < len(rows); b++ {
-		if simdQ {
-			e.quantizeBlockSIMD(rows[b:b+1], q)
-		} else {
-			e.quantizeBlockFused(rows[b:b+1], q)
-		}
+		e.quantizeBlockFused(rows[b:b+1], q)
 		var stack [8][maxStackClasses]int32
-		lanes := voteLanes(&stack, s.votes, nc, 1)
-		for _, root := range e.roots {
-			lanes[0][e.classifyCompactFused(q, root)]++
-		}
-		out[b] = rf.Argmax(lanes[0])
+		votes := voteLanes(&stack, s.votes, nc, 1)[0]
+		e.voteRowFused(q, votes)
+		out[b] = rf.Argmax(votes)
 	}
 }

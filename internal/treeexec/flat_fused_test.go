@@ -1,6 +1,7 @@
 package treeexec
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -81,11 +82,52 @@ func TestBranchlessRankMatchesBranchy(t *testing.T) {
 	}
 }
 
+// compactKernels lists every compact walk kernel.
+var compactKernels = []Kernel{KernelBranchy, KernelFused, KernelSIMDQuant, KernelSIMD}
+
+// checkCompactModes is the lane dealer's differential. Under every
+// kernel, e's single-row entries (Predict, PredictEncoded,
+// PredictPrecoded: blocks of one) and its batch path at widths 1, 2, 4
+// and 8 with every block size from 1 to 2w+1 — full groups, leftover
+// rows after them, and blocks of leftovers alone — must all return
+// want.
+func checkCompactModes(t *testing.T, e *FlatForestEngine, rows [][]float32, want []int32) {
+	t.Helper()
+	for _, k := range compactKernels {
+		e.SetKernel(k)
+		for i, x := range rows {
+			if got := e.Predict(x); got != want[i] {
+				t.Fatalf("%v row %d: Predict got %d want %d for %v", k, i, got, want[i], x)
+			}
+			if got := e.PredictEncoded(core.EncodeFeatures32(nil, x)); got != want[i] {
+				t.Fatalf("%v row %d: PredictEncoded got %d want %d for %v", k, i, got, want[i], x)
+			}
+			if got := e.PredictPrecoded(core.PrecodeFeatures32(nil, x)); got != want[i] {
+				t.Fatalf("%v row %d: PredictPrecoded got %d want %d for %v", k, i, got, want[i], x)
+			}
+		}
+		for _, width := range []int{1, 2, 4, 8} {
+			e.SetInterleave(width)
+			if e.Kernel() != k {
+				t.Fatalf("SetInterleave(%d) dropped the %v kernel", width, k)
+			}
+			for block := 1; block <= 2*width+1; block++ {
+				got := e.PredictBatch(rows, nil, 2, block)
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("%v width %d block %d row %d: batch got %d want %d for %v",
+							k, width, block, i, got[i], want[i], rows[i])
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestFusedBitIdenticalAllWorkloads is the tentpole acceptance test:
-// on every bundled workload the fused kernel must match the FLInt arena
-// prediction-for-prediction — single-row encoded and precoded paths
-// under an installed fused kernel, and the batch kernel at every
-// interleave width.
+// on every bundled workload the compact arena must match
+// rf.Forest.Predict (and the FLInt arena) prediction-for-prediction in
+// every mode checkCompactModes drives.
 func TestFusedBitIdenticalAllWorkloads(t *testing.T) {
 	for _, ds := range dataset.Names() {
 		ds := ds
@@ -102,41 +144,26 @@ func TestFusedBitIdenticalAllWorkloads(t *testing.T) {
 			if e.Variant() != FlatCompact {
 				t.Fatalf("fell back to %v", e.Variant())
 			}
-			e.SetKernel(KernelFused)
-			want := make([]int32, d.Len())
-			for i, x := range d.Features {
-				want[i] = ref.Predict(x)
-				if got := e.Predict(x); got != want[i] {
-					t.Fatalf("row %d: fused single-row got %d want %d", i, got, want[i])
-				}
-				if got := e.PredictEncoded(core.EncodeFeatures32(nil, x)); got != want[i] {
-					t.Fatalf("row %d: fused encoded got %d want %d", i, got, want[i])
-				}
-				if got := e.PredictPrecoded(core.PrecodeFeatures32(nil, x)); got != want[i] {
-					t.Fatalf("row %d: fused precoded got %d want %d", i, got, want[i])
+			rows := d.Features
+			want := make([]int32, len(rows))
+			for i, x := range rows {
+				want[i] = f.Predict(x)
+				if got := ref.Predict(x); got != want[i] {
+					t.Fatalf("row %d: FLInt arena got %d, forest wants %d", i, got, want[i])
 				}
 			}
-			for _, width := range []int{1, 2, 4, 8} {
-				e.SetInterleave(width)
-				if e.Kernel() != KernelFused {
-					t.Fatalf("SetInterleave(%d) dropped the fused kernel", width)
-				}
-				got := e.PredictBatch(d.Features, nil, 2, 13)
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("width %d row %d: fused batch got %d want %d", width, i, got[i], want[i])
-					}
-				}
-			}
+			checkCompactModes(t, e, rows, want)
 		})
 	}
 }
 
-// TestFusedAdversarialRandomForests cross-checks the fused kernel on
+// TestFusedAdversarialRandomForests cross-checks every compact mode on
 // randomly grown trees over the extreme split-value pool (signed zeros,
-// subnormals, extremes) at every width — the same gauntlet the branchy
-// compact kernel passes, now through the shift-select step and the
-// branchless quantizer.
+// subnormals, extremes) against rf.Forest.Predict. Tree counts 1, 3, 5
+// and 30 cover forests below, at and well past the dealer's four lanes.
+// For each count, one trial puts a leaf-only tree in each of the four
+// first lane positions, one makes the last tree leaf-only and one has
+// none; a forest of leaf-only trees alone comes last.
 func TestFusedAdversarialRandomForests(t *testing.T) {
 	rng := rand.New(rand.NewSource(654))
 	splitPool := []float32{
@@ -149,7 +176,7 @@ func TestFusedAdversarialRandomForests(t *testing.T) {
 		var grow func(d int) int32
 		grow = func(d int) int32 {
 			me := int32(len(nodes))
-			if d == 0 || rng.Float64() < 0.3 {
+			if d == 0 || (d < depth && rng.Float64() < 0.3) {
 				nodes = append(nodes, rf.Node{Feature: rf.LeafFeature, Class: int32(rng.Intn(3))})
 				return me
 			}
@@ -166,18 +193,35 @@ func TestFusedAdversarialRandomForests(t *testing.T) {
 		grow(depth)
 		return rf.Tree{Nodes: nodes}
 	}
-	for trial := 0; trial < 20; trial++ {
-		f := &rf.Forest{NumFeatures: 4, NumClasses: 3,
-			Trees: []rf.Tree{randTree(6), randTree(6), randTree(6)}}
-		ref, err := NewFlat(f, FlatFLInt)
-		if err != nil {
-			t.Fatal(err)
+	leafTree := func() rf.Tree {
+		return rf.Tree{Nodes: []rf.Node{{Feature: rf.LeafFeature, Class: int32(rng.Intn(3))}}}
+	}
+	var forests [][]rf.Tree
+	for _, nt := range []int{1, 3, 5, 30} {
+		for pos := 0; pos <= 5; pos++ {
+			trees := make([]rf.Tree, nt)
+			for i := range trees {
+				trees[i] = randTree(6)
+			}
+			switch {
+			case pos < 4 && pos < nt:
+				trees[pos] = leafTree()
+			case pos == 4:
+				trees[nt-1] = leafTree()
+			}
+			forests = append(forests, trees)
 		}
+	}
+	forests = append(forests, []rf.Tree{leafTree(), leafTree(), leafTree(), leafTree(), leafTree()})
+	for trial, trees := range forests {
+		f := &rf.Forest{NumFeatures: 4, NumClasses: 3, Trees: trees}
 		e, err := NewFlat(f, FlatCompact)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.SetKernel(KernelFused)
+		if e.Variant() != FlatCompact {
+			t.Fatalf("trial %d fell back to %v", trial, e.Variant())
+		}
 		rows := make([][]float32, 0, 64)
 		for probe := 0; probe < 64; probe++ {
 			x := make([]float32, 4)
@@ -190,23 +234,18 @@ func TestFusedAdversarialRandomForests(t *testing.T) {
 			}
 			rows = append(rows, x)
 		}
-		for _, width := range []int{1, 2, 4, 8} {
-			e.SetInterleave(width)
-			got := e.PredictBatch(rows, nil, 1, 16)
-			for i := range rows {
-				if want := ref.Predict(rows[i]); got[i] != want {
-					t.Fatalf("trial %d width %d row %d: fused got %d want %d for %v",
-						trial, width, i, got[i], want, rows[i])
-				}
-			}
+		want := make([]int32, len(rows))
+		for i, x := range rows {
+			want[i] = f.Predict(x)
 		}
+		checkCompactModes(t, e, rows, want)
 	}
 }
 
-// TestCompactPrecodedDifferentialBothKernels covers quantizeKeys and
-// PredictPrecoded on the compact variant directly (they were only
+// TestCompactPrecodedDifferentialBothKernels covers quantizeKeysFused
+// and PredictPrecoded on the compact variant directly (they were only
 // exercised incidentally before): for every workload, the precoded path
-// must match the float path row for row under both kernels, and the
+// must match the float path row for row under every kernel, and the
 // batch kernel must agree at every width. A feature-pruned forest
 // (prunedOrig non-identity) rides along via the wide sparse-split
 // construction below.
@@ -226,7 +265,7 @@ func TestCompactPrecodedDifferentialBothKernels(t *testing.T) {
 			if e.Variant() != FlatCompact {
 				t.Fatalf("fell back to %v", e.Variant())
 			}
-			for _, k := range []Kernel{KernelBranchy, KernelFused, KernelSIMD} {
+			for _, k := range compactKernels {
 				e.SetKernel(k)
 				for i, x := range d.Features {
 					want := float.Predict(x)
@@ -246,8 +285,9 @@ func TestCompactPrecodedDifferentialBothKernels(t *testing.T) {
 			}
 		})
 	}
-	// The pruned-gap shape: splits on a scattered handful of 30 columns,
-	// so quantizeKeys translates through a non-identity prunedOrig.
+	// The pruned-gap shape: six trees splitting on a scattered handful
+	// of 30 columns, so every single-row quantizer translates through a
+	// non-identity prunedOrig while the dealer's four lanes walk it.
 	rng := rand.New(rand.NewSource(31))
 	splitFeats := []int32{2, 11, 28}
 	var nodes []rf.Node
@@ -268,29 +308,30 @@ func TestCompactPrecodedDifferentialBothKernels(t *testing.T) {
 		nodes[me].Right = r
 		return me
 	}
-	grow(7)
-	f := &rf.Forest{NumFeatures: 30, NumClasses: 3, Trees: []rf.Tree{{Nodes: nodes}}}
-	float, err := NewFlat(f, FlatFloat32)
-	if err != nil {
-		t.Fatal(err)
+	trees := make([]rf.Tree, 6)
+	for i := range trees {
+		nodes = nil
+		grow(7)
+		trees[i] = rf.Tree{Nodes: nodes}
 	}
+	f := &rf.Forest{NumFeatures: 30, NumClasses: 3, Trees: trees}
 	e, err := NewFlat(f, FlatCompact)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []Kernel{KernelBranchy, KernelFused, KernelSIMD} {
-		e.SetKernel(k)
-		for i := 0; i < 64; i++ {
-			x := make([]float32, 30)
-			for j := range x {
-				x[j] = float32(rng.NormFloat64())
-			}
-			want := float.Predict(x)
-			if got := e.PredictPrecoded(core.PrecodeFeatures32(nil, x)); got != want {
-				t.Fatalf("%v pruned row %d: precoded got %d, float path wants %d", k, i, got, want)
-			}
-		}
+	if fmt.Sprint(e.prunedOrig) != fmt.Sprint(splitFeats) {
+		t.Fatalf("prunedOrig = %v, want %v", e.prunedOrig, splitFeats)
 	}
+	rows := make([][]float32, 64)
+	want := make([]int32, len(rows))
+	for i := range rows {
+		x := make([]float32, 30)
+		for j := range x {
+			x[j] = float32(rng.NormFloat64())
+		}
+		rows[i], want[i] = x, f.Predict(x)
+	}
+	checkCompactModes(t, e, rows, want)
 }
 
 // skewTree returns a right-spine chain of depth inner nodes on feature
@@ -309,18 +350,22 @@ func skewTree(depth int, feat int32) rf.Tree {
 	return rf.Tree{Nodes: nodes}
 }
 
-// TestSkewedDepthFinishDrains pins the finishCompact/finishCompactFused
-// drains of the 2/4/8-way walks: an adversarial chain forest where each
-// lane of an interleaved group leafs at a controlled depth — one lane
-// surviving to depth 48 while the rest exit immediately, rotated
-// through every lane position, plus staircase and uniform patterns —
-// must stay bit-identical to the FLInt arena under both kernels.
+// TestSkewedDepthFinishDrains pins the drains of the interleaved
+// walks on an adversarial chain forest: nine chains, tree i on feature
+// i, so a row's value on feature i sets the depth at which tree i
+// leafs. In the row-interleaved walks one row survives to depth 48
+// while the rest of its group exits at once, rotated through every
+// position of a group of 8; in the dealer's tree lanes one tree of a
+// row survives to depth 48, rotated through all nine trees — the four
+// first lanes and every refill. Staircases and uniform rows ride
+// along. Every mode must match rf.Forest.Predict and the FLInt arena.
 func TestSkewedDepthFinishDrains(t *testing.T) {
 	const depth = 48
-	f := &rf.Forest{NumFeatures: 2, NumClasses: 3, Trees: []rf.Tree{
-		skewTree(depth, 0),
-		skewTree(depth, 1),
-	}}
+	const nt = 9
+	f := &rf.Forest{NumFeatures: nt, NumClasses: 3}
+	for i := 0; i < nt; i++ {
+		f.Trees = append(f.Trees, skewTree(depth, int32(i)))
+	}
 	ref, err := NewFlat(f, FlatFLInt)
 	if err != nil {
 		t.Fatal(err)
@@ -340,49 +385,67 @@ func TestSkewedDepthFinishDrains(t *testing.T) {
 		}
 		return float32(d) + 0.5
 	}
+	row := func(d func(f int) int) []float32 {
+		x := make([]float32, nt)
+		for f := range x {
+			x[f] = depthVal(d(f))
+		}
+		return x
+	}
 	var rows [][]float32
-	// One deep lane rotated through every position of a group of 8,
+	// One deep row rotated through every position of a group of 8,
 	// shallow everywhere else — each rotation pins a different drain.
 	for pos := 0; pos < 8; pos++ {
 		for lane := 0; lane < 8; lane++ {
-			d0, d1 := 0, 0
-			if lane == pos {
-				d0, d1 = depth, depth/2
-			}
-			rows = append(rows, []float32{depthVal(d0), depthVal(d1)})
+			deep := lane == pos
+			rows = append(rows, row(func(f int) int {
+				if deep {
+					return depth - f%2*depth/2
+				}
+				return 0
+			}))
 		}
 	}
+	// One deep tree per row, rotated through every tree.
+	for pos := 0; pos < nt; pos++ {
+		rows = append(rows, row(func(f int) int {
+			if f == pos {
+				return depth
+			}
+			return 0
+		}))
+	}
 	// Staircases (every lane a different depth, ascending and
-	// descending across the two features) and uniform extremes.
+	// descending across the features) and uniform extremes.
 	for lane := 0; lane < 8; lane++ {
-		rows = append(rows, []float32{depthVal(lane * 6), depthVal((7 - lane) * 6)})
+		rows = append(rows, row(func(f int) int { return (lane*6 + f*5) % (depth + 1) }))
+		rows = append(rows, row(func(f int) int { return ((7-lane)*6 + f*11) % (depth + 1) }))
 	}
 	for lane := 0; lane < 8; lane++ {
-		rows = append(rows, []float32{depthVal(depth), depthVal(depth)})
+		rows = append(rows, row(func(int) int { return depth }))
 	}
 	for lane := 0; lane < 8; lane++ {
-		rows = append(rows, []float32{-1, -1})
+		rows = append(rows, make([]float32, nt))
+		for f := range rows[len(rows)-1] {
+			rows[len(rows)-1][f] = -1
+		}
 	}
 	want := make([]int32, len(rows))
 	for i, x := range rows {
-		want[i] = ref.Predict(x)
-	}
-	for _, k := range []Kernel{KernelBranchy, KernelFused, KernelSIMDQuant, KernelSIMD} {
-		e.SetKernel(k)
-		widths := []int{2, 4, 8}
-		if k == KernelSIMD {
-			// The dual-group walk's refill scheduling is exactly what a
-			// skewed-depth forest stresses: one lane pinning the group.
-			widths = append(widths, 16)
+		want[i] = f.Predict(x)
+		if got := ref.Predict(x); got != want[i] {
+			t.Fatalf("row %d: FLInt arena got %d, forest wants %d", i, got, want[i])
 		}
-		for _, width := range widths {
-			e.SetInterleave(width)
-			got := e.PredictBatch(rows, nil, 1, 8)
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%v width %d row %d: got %d want %d (lanes %v)", k, width, i, got[i], want[i], rows[i])
-				}
-			}
+	}
+	checkCompactModes(t, e, rows, want)
+	// The dual-group walk's refill scheduling is exactly what a
+	// skewed-depth forest stresses: one lane pinning the group.
+	e.SetKernel(KernelSIMD)
+	e.SetInterleave(16)
+	got := e.PredictBatch(rows, nil, 1, 8)
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("simd width 16 row %d: got %d want %d (lanes %v)", i, got[i], want[i], rows[i])
 		}
 	}
 }
@@ -415,7 +478,9 @@ func TestFusedZeroAllocSteadyState(t *testing.T) {
 }
 
 // TestSetKernelSemantics pins the knob's contract: non-compact engines
-// have no fused kernel (the call is a no-op), SetInterleave preserves
+// have no fused kernel (the call is a no-op), a fresh compact engine
+// runs fused (the default gate table's CompactFusedMin is 1),
+// SetInterleave preserves
 // the kernel, SetKernel preserves the width and marks the source
 // manual, and a pinned kernel survives calibration — under the pin,
 // calibration times widths but never flips the kernel.
@@ -436,8 +501,8 @@ func TestSetKernelSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Kernel() != KernelBranchy {
-		t.Fatalf("fresh compact engine kernel = %v, want branchy (zero CompactFusedMin)", e.Kernel())
+	if e.Kernel() != KernelFused {
+		t.Fatalf("fresh compact engine kernel = %v, want fused (default CompactFusedMin 1)", e.Kernel())
 	}
 	e.SetInterleave(4)
 	if got := e.SetKernel(KernelFused); got != KernelFused {

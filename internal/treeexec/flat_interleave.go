@@ -35,7 +35,7 @@ var interleaveWidths = [4]int{1, 2, 4, 8}
 // 8-lane halves whose independent gather chains the walk interleaves,
 // so the out-of-order core overlaps four node gathers per level instead
 // of two. Only the SIMD kernel walks it; the scalar kernels treat a
-// width of 16 as 8 (their cascades cap at the 8-way walk).
+// width of 16 as 8 (their widest row group is the 8-way walk).
 const simdWidth16 = 16
 
 // Kernel selects how the compact batch kernel resolves each node's
@@ -53,8 +53,11 @@ const simdWidth16 = 16
 // kernels produce bit-identical predictions; which one is faster is a
 // host property (mispredict penalty vs. dependent-chain latency vs.
 // gather throughput) that calibration measures alongside the interleave
-// width. Only the compact SoA arena has fused, SIMD-quant and SIMD
-// forms; other variants always run branchy. The constants are ordered
+// width. The kernel governs a block's full row groups; a lone row and
+// the rows a block leaves over always walk the fused step four trees at
+// a time (flat_fused.go). Only the compact SoA arena has fused,
+// SIMD-quant and SIMD forms; other variants always run branchy. The
+// constants are ordered
 // by how aggressively each kernel converts control flow into data
 // flow — kernelGatesFromLadder relies on that order when forcing a
 // measured ladder monotone.
@@ -188,11 +191,11 @@ type InterleaveGates struct {
 	// CompactFusedMin is the smallest compact arena footprint (bytes) at
 	// which the fused branch-free kernel outperforms the branchy one on
 	// this host. Zero — the value in every gate table from before the
-	// fused kernel existed, and the uncalibrated default — selects the
-	// branchy kernel everywhere; math.MaxInt records a measurement where
-	// fused never won. Like the width gates it only seeds engines at
-	// construction: per-engine calibration times every kernel on the
-	// actual arena.
+	// fused kernel existed — selects the branchy kernel everywhere;
+	// math.MaxInt records a measurement where fused never won. The
+	// uncalibrated default is 1: fused on every compact arena. Like the
+	// width gates it only seeds engines at construction: per-engine
+	// calibration times every kernel on the actual arena.
 	CompactFusedMin int `json:"compact_fused_min,omitempty"`
 	// CompactSIMDMin is the same crossover for the 8-lane SIMD kernel:
 	// the smallest compact arena footprint from which it beats both
@@ -223,16 +226,22 @@ type InterleaveGates struct {
 // set reuses them until a measurement says otherwise (on the dev host
 // the compact arena's crossovers sat near the same byte footprints —
 // half the nodes per byte, but each fetch serves two 8-byte nodes per
-// line).
+// line). Compact arenas default to the fused kernel, which an engine
+// keeps whenever its calibration pass times nothing (flintperf large's
+// 128 unpruned trees under the 40ms budget): in a one-thread probe of
+// 256-row batches on a 2-vCPU Xeon guest, fused ran flintperf small's
+// forest 1.5-1.7x faster than branchy at widths 2, 4 and 8, and large's
+// within noise of it.
 func DefaultInterleaveGates() InterleaveGates {
 	return InterleaveGates{
 		Min2: pairMinArenaNodes * 16, // the old node gate, in bytes
 		Min4: 4 << 20,
 		Min8: 16 << 20,
 
-		CompactMin2: pairMinArenaNodes * 16,
-		CompactMin4: 4 << 20,
-		CompactMin8: 16 << 20,
+		CompactMin2:     pairMinArenaNodes * 16,
+		CompactMin4:     4 << 20,
+		CompactMin8:     16 << 20,
+		CompactFusedMin: 1,
 	}
 }
 
@@ -320,11 +329,12 @@ func (g InterleaveGates) modeFor(v FlatVariant, arenaBytes int) (int, Kernel) {
 // ArenaBytes returns the engine's walked node footprint: 16 bytes per
 // node for the AoS arenas, 8 bytes per node plus the pruned per-feature
 // cut tables for the compact SoA arena. This is the quantity the
-// interleave gates are measured against — the bytes one walk actually
-// touches — so the compact arena's fused-kernel mirror (nodes64, the
-// same 8 bytes per node re-packed into one word; a walk reads either
-// encoding, never both) is not counted, though it does double the
-// resident node storage.
+// interleave gates are measured against — the bytes one walk touches —
+// not the engine's resident size: a compact engine also holds the fused
+// mirror (nodes64, the same 8 bytes per node re-packed into one word; a
+// walk reads one encoding or the other), so it keeps ~16 bytes per node
+// resident. flintperf's large model reports 7.0 MB here and holds
+// ~11.7 MB.
 func (e *FlatForestEngine) ArenaBytes() int {
 	if e.variant == FlatCompact {
 		return 2*len(e.keys16) + 2*len(e.feats16) + 4*len(e.kids) +
@@ -353,7 +363,7 @@ func (e *FlatForestEngine) Kernel() Kernel { return modeKernel(e.mode.Load()) }
 // calibrated gates; the requested width is rounded down to the nearest
 // supported one (1, 2, 4, 8 — and 16 on the compact arena, where the
 // SIMD kernel walks two pipelined 8-lane groups; the scalar kernels run
-// a forced 16 as their 8-way cascade) and returned. Only the FLInt and
+// a forced 16 as their 8-way walk) and returned. Only the FLInt and
 // compact kernels interleave; other variants ignore the setting. The
 // width is installed atomically and the current kernel and compaction
 // threshold are preserved, so calling while Batcher workers are in
@@ -587,7 +597,7 @@ func (e *FlatForestEngine) CalibrateInterleaveRowsLadder(rows [][]float32, budge
 
 // minTimingRows is the smallest row block timeWidths may run: big enough
 // that the widest (8-way) kernel spends its time in the interleaved walk
-// rather than the remainder cascade.
+// rather than on leftover rows.
 const minTimingRows = 64
 
 // maxTimingRows bounds the timing block so one predictBlock pass stays

@@ -126,7 +126,7 @@ func (e *FlatForestEngine) classifySIMDGroup(root int32, k int, q []uint16, cls 
 }
 
 // predictBlockCompactSIMD is the SIMD-kernel block loop. Unlike the
-// scalar kernels' 8/4/2/1 cascade, one group shape serves every width:
+// branchy kernel's 8/4/2/1 cascade, one group shape serves every width:
 // a group of k = min(width, remaining) rows quantizes and walks with
 // lanes k..7 inactive, so remainders need no separate narrow kernels.
 func (e *FlatForestEngine) predictBlockCompactSIMD(rows [][]float32, out []int32, s *flatScratch, width int) {

@@ -65,14 +65,9 @@ func (e *FlatForestEngine) DecisionPath(x []float32, buf []PathStep) ([]PathStep
 	counts := voteSlice(&stack, e.numClasses)
 
 	if e.variant == FlatCompact {
-		var qstack [maxStackQuantizedFeatures]uint16
-		var q []uint16
-		if e.numPruned <= maxStackQuantizedFeatures {
-			q = qstack[:e.numPruned]
-		} else {
-			q = make([]uint16, e.numPruned)
-		}
-		e.quantizeRow(q, x)
+		var qs [maxStackQuantizedFeatures]uint16
+		q := e.rowRanks(&qs)
+		e.quantizeBlockFused([][]float32{x}, q)
 		for ti, root := range e.roots {
 			var class int32
 			buf, class = e.traceCompact(q, ti, root, buf)
@@ -97,25 +92,6 @@ func (e *FlatForestEngine) DecisionPath(x []float32, buf []PathStep) ([]PathStep
 		counts[class]++
 	}
 	return buf, rf.Argmax(counts)
-}
-
-// quantizeRow maps one float row into the compact arena's pruned rank
-// space — quantizeBits without the pre-encoded bit-pattern detour.
-func (e *FlatForestEngine) quantizeRow(dst []uint16, x []float32) {
-	cuts, cutLo := e.cuts, e.cutLo
-	for p, f := range e.prunedOrig {
-		key := ieee754.TotalOrderKey32(math.Float32bits(x[f]))
-		lo, hi := cutLo[p], cutLo[p+1]
-		for lo < hi {
-			mid := lo + (hi-lo)/2
-			if cuts[mid] >= key {
-				hi = mid
-			} else {
-				lo = mid + 1
-			}
-		}
-		dst[p] = uint16(lo - cutLo[p])
-	}
 }
 
 // traceCompact is classifyCompact with step recording: the identical
