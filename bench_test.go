@@ -596,8 +596,9 @@ func iee754SI(b uint64) int64 { return int64(int32(uint32(b))) }
 // Batch over the per-tree FLInt engine with the row-blocked arena
 // kernel (ephemeral workers, and the persistent zero-alloc Batcher) at
 // matched worker counts, for both the 16-byte FLInt arena and the
-// 8-byte compact SoA arena at every interleave width (x1/x2/x4/x8
-// cursor walks). -benchmem makes the steady-state allocation claim
+// 8-byte compact SoA arena: the row-group kernels at every interleave
+// width (x1/x2/x4/x8 cursor walks), the fused and SIMD-quant tree lanes
+// once each. -benchmem makes the steady-state allocation claim
 // measurable: the Batcher rows must report 0 allocs/op.
 func BenchmarkBatchThroughput(b *testing.B) {
 	workerCounts := []int{1, 2}
@@ -646,12 +647,13 @@ func BenchmarkBatchThroughput(b *testing.B) {
 			}{
 				{"blocked", flat, treeexec.KernelBranchy, nil},
 				{"compact", compact, treeexec.KernelBranchy, nil},
-				{"compact-fused", compact, treeexec.KernelFused, nil},
+				{"compact-fused", compact, treeexec.KernelFused, []int{1}},
 				{"compact-simd", compact, treeexec.KernelSIMD, nil},
-				// The dual-group walk exists only at width 16; the hybrid
-				// quantizer-only kernel shares the scalar fused widths.
+				// The dual-group walk exists only at width 16; the fused
+				// and SIMD-quant kernels read no width, so one row each
+				// times them.
 				{"compact-simd16", compact, treeexec.KernelSIMD, []int{16}},
-				{"compact-simdquant", compact, treeexec.KernelSIMDQuant, []int{4, 8}},
+				{"compact-simdquant", compact, treeexec.KernelSIMDQuant, []int{1}},
 			} {
 				arena := arena
 				// Forced interleave widths and kernels expose the
@@ -734,10 +736,10 @@ func BenchmarkBatchThroughput(b *testing.B) {
 	}{
 		{"blocked", hflat, treeexec.KernelBranchy, nil},
 		{"compact", hcompact, treeexec.KernelBranchy, nil},
-		{"compact-fused", hcompact, treeexec.KernelFused, nil},
+		{"compact-fused", hcompact, treeexec.KernelFused, []int{1}},
 		{"compact-simd", hcompact, treeexec.KernelSIMD, nil},
 		{"compact-simd16", hcompact, treeexec.KernelSIMD, []int{16}},
-		{"compact-simdquant", hcompact, treeexec.KernelSIMDQuant, []int{4, 8}},
+		{"compact-simdquant", hcompact, treeexec.KernelSIMDQuant, []int{1}},
 	} {
 		arena := arena
 		widths := arena.widths
@@ -791,10 +793,10 @@ func BenchmarkBatchThroughput(b *testing.B) {
 	}{
 		{"blocked", advFlat, treeexec.KernelBranchy, nil},
 		{"compact", advCompact, treeexec.KernelBranchy, nil},
-		{"compact-fused", advCompact, treeexec.KernelFused, nil},
+		{"compact-fused", advCompact, treeexec.KernelFused, []int{1}},
 		{"compact-simd", advCompact, treeexec.KernelSIMD, nil},
 		{"compact-simd16", advCompact, treeexec.KernelSIMD, []int{16}},
-		{"compact-simdquant", advCompact, treeexec.KernelSIMDQuant, []int{4, 8}},
+		{"compact-simdquant", advCompact, treeexec.KernelSIMDQuant, []int{1}},
 	} {
 		arena := arena
 		widths := arena.widths

@@ -137,11 +137,12 @@
 //     SIMD kernel).
 //   - Every calibration pass (CalibrateInterleave,
 //     CalibrateInterleaveRows, Batcher.Recalibrate) times each
-//     interleave width under every competing kernel — plus the width-16
-//     dual-group walk with lane compaction off and on — and installs
-//     the winning (width, kernel, compaction) triple as one atomic
-//     unit, so recalibrating under live Batcher traffic can never mix a
-//     width measured under one kernel with another.
+//     row-group width under the branchy and SIMD kernels, the fused and
+//     SIMD-quant kernels once each (at width 1: they read no width),
+//     and the width-16 dual-group walk with lane compaction off and on,
+//     and installs the winning (width, kernel, compaction) triple as one
+//     atomic unit, so recalibrating under live Batcher traffic can never
+//     mix a width measured under one kernel with another.
 //   - engine.SetKernel forces and pins a kernel (subsequent calibration
 //     then times widths under it alone) — the A/B switch behind
 //     flintbench's -kernel flag; engine.Kernel reports the current one.
@@ -150,14 +151,17 @@
 //     restores them (records written before the kernel axis existed
 //     load as branchy — the only kernel those deployments ever ran).
 //
-// The kernel governs full groups of rows only. A lone row (Predict,
-// PredictEncoded, PredictPrecoded: a block of one), and every row a
-// block leaves over after its full groups of the installed width — at
-// width 1, every row — walks its own trees four at a time on the fused
-// step, under every kernel: four cursors, each with its own tree base,
-// read the one row's ranks, and a cursor that reaches its leaf votes
-// and takes the next tree. A single row therefore keeps four node loads
-// in flight instead of one, and answers stay bit-identical.
+// The kernel governs batch blocks. The branchy and SIMD kernels walk
+// row groups of the installed width. The fused and SIMD-quant kernels
+// quantize a block in chunks of 16 rows and walk all of a chunk's
+// (tree, row) pairs with four cursors, dealt tree-major (every row
+// through tree 0, then tree 1, ...): a cursor that reaches its leaf
+// votes for its row and takes the next pair, so four node loads stay in
+// flight until the pairs run out, where a row group stalls each time
+// one of its rows leafs. A lone row (Predict, PredictEncoded,
+// PredictPrecoded), and a one-row chunk, walks its own trees four at a
+// time on the fused step under every kernel: the four cursors share the
+// row's ranks. Answers stay bit-identical either way.
 //
 // ISA gating and the portable fallback: DetectedISA reports the vector
 // instruction set the SIMD kernels run natively here ("avx2", or ""

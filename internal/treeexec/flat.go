@@ -75,14 +75,14 @@ func (v FlatVariant) String() string {
 // Predict/PredictEncoded/PredictPrecoded; many rows should go through
 // PredictBatch or a persistent Batcher: the rows of a block run
 // back-to-back over the arena with per-worker scratch, and on arenas
-// past the cache comfort zone the FLInt and compact kernels walk rows
-// in interleaved groups of 2, 4 or 8 register-resident cursors so the
-// core overlaps their node fetches (see flat_interleave.go for the
-// runtime-calibrated gates). On the compact arena a lone row, and every
-// row of a block left over after its full groups, walks four of its
-// trees at once instead, whatever the kernel: four cursors, each on its
-// own tree, share the row's ranks, so a single row keeps four node
-// loads in flight (flat_fused.go).
+// past the cache comfort zone the FLInt arena and the compact branchy
+// and SIMD kernels walk rows in interleaved groups of 2, 4 or 8
+// register-resident cursors so the core overlaps their node fetches
+// (see flat_interleave.go for the runtime-calibrated gates). The
+// compact fused and SIMD-quant kernels instead deal each 16-row chunk's
+// (tree, row) pairs to four lanes that are refilled as they leaf, and a
+// lone compact row walks four of its trees at once under every kernel,
+// so four node loads stay in flight either way (flat_fused.go).
 type FlatForestEngine struct {
 	arena   []node  // inner nodes of all trees, contiguous (AoS variants)
 	roots   []int32 // per-tree entry: arena index (tree base for compact), or ^class for leaf-only trees
@@ -105,8 +105,9 @@ type FlatForestEngine struct {
 
 	numClasses  int
 	numFeatures int
-	// mode packs the batch kernel's cursor count (1, 2, 4, 8 — or 16
-	// for the dual-group SIMD walk; low byte) together with the compact
+	// mode packs the batch kernel's row-group width (1, 2, 4, 8 — or 16
+	// for the dual-group SIMD walk; low byte; 1 under the fused and
+	// SIMD-quant kernels, which read none) together with the compact
 	// walk kernel (branchy, fused, simd-quant or simd; next byte) and
 	// the width-16 walk's lane compaction threshold (third byte, 0 =
 	// kernel default), selected at construction from the calibrated
@@ -445,17 +446,22 @@ func (e *FlatForestEngine) Predict(x []float32) int32 {
 const pairMinArenaNodes = 1 << 16
 
 // DefaultBlockRows is the default row-block size B of the batch kernel:
-// blocks of B rows advance in lock-step through each tree, so every node
-// fetched from the arena is reused up to B times while it is cache-hot.
+// a worker claims B rows at a time and walks them through the whole
+// forest before the next block, so every node fetched from the arena is
+// reused up to B times while it is cache-hot. It matches the compact
+// fused kernels' 16-row chunk, the unit they deal tree-major to their
+// lanes; 64-row blocks (four chunks per block) served flintperf's
+// large forest slower end to end, in 4 of 4 paired runs.
 const DefaultBlockRows = 16
 
 // flatScratch is the per-worker working set of the batch kernel: encode
 // or quantize buffers for one interleaved group of rows and the group's
 // vote-count tallies, allocated once at pool construction so the steady
-// state allocates nothing. Buffers are sized for the widest interleave
-// the variant supports (8-way scalar, 16-lane dual-group SIMD on the
-// compact arena) so a later SetInterleave/CalibrateInterleave never
-// forces a reallocation.
+// state allocates nothing. Buffers are sized for the widest group the
+// variant supports (8-way scalar on the AoS arenas; 16 rows on the
+// compact arena, the fused kernels' chunk and the dual-group SIMD walk)
+// so a later SetInterleave/CalibrateInterleave never forces a
+// reallocation.
 type flatScratch struct {
 	enc   []int32  // 8*numFeatures raw bit patterns (FLInt/Float32)
 	keys  []uint32 // numFeatures precoded keys (FlatPrecoded only)
@@ -470,8 +476,9 @@ func (e *FlatForestEngine) newScratch() *flatScratch {
 		s.votes = make([]int32, 8*e.numClasses)
 		s.keys = make([]uint32, e.numFeatures)
 	case FlatCompact:
-		// 16 rank lanes for the dual-group SIMD walk (the scalar kernels
-		// use the first 8), plus two padding elements past the last
+		// 16 rank lanes for the fused kernels' chunks and the dual-group
+		// SIMD walk (the branchy kernel uses the first 8), plus two
+		// padding elements past the last
 		// lane: the SIMD kernel's key gathers load 32 bits per 16-bit
 		// rank, so the last lane's last element would otherwise read
 		// past the allocation. TestSIMDScratchOverreadPad places a
@@ -491,12 +498,17 @@ func (e *FlatForestEngine) newScratch() *flatScratch {
 // forest's hot set — halved by the leaf-free encoding relative to the
 // per-tree engines — is reused across the block while cache-resident.
 //
-// The kernel is deliberately row-major: a tree-major "lock-step" order
-// (all rows through one tree before the next) and a level-synchronous
-// lane variant were both measured slower on commodity x86, because the
-// per-walk bookkeeping they add outweighs the node-fetch reuse the
-// leaf-free arena already provides. See ROADMAP for the SIMD/lock-step
-// follow-on.
+// Which order a block walks in depends on the arena. The AoS arenas
+// stay row-major (each row, or interleaved group of rows, through every
+// tree): on them a tree-major "lock-step" order and a level-synchronous
+// lane variant both measured slower on commodity x86, their per-walk
+// bookkeeping outweighing the node-fetch reuse. The compact arena's
+// fused and SIMD-quant kernels deal tree-major (tree, row) pairs to
+// four lanes refilled as they leaf, which keeps four node fetches in
+// flight where a row group stalls on its first leaf: on flintperf's
+// large forest, past L2, that served ~1.9x the rows/s of fused row
+// groups of 4 (flat_fused.go). The SIMD kernel's width-16 walk streams
+// the same tree-major pairs.
 func (e *FlatForestEngine) predictBlock(rows [][]float32, out []int32, s *flatScratch) {
 	m := e.mode.Load()
 	e.predictBlockMode(rows, out, s, modeWidth(m), modeKernel(m), modeRefill(m))
@@ -535,10 +547,8 @@ func (e *FlatForestEngine) predictBlockMode(rows [][]float32, out []int32, s *fl
 		e.predictBlockCompactSIMD16(rows, out, s, refill)
 	case e.variant == FlatCompact && k == KernelSIMD:
 		e.predictBlockCompactSIMD(rows, out, s, width)
-	case e.variant == FlatCompact && k == KernelSIMDQuant:
-		e.predictBlockCompactSIMDQuant(rows, out, s, width)
-	case e.variant == FlatCompact && k == KernelFused:
-		e.predictBlockCompactFused(rows, out, s, width)
+	case e.variant == FlatCompact && (k == KernelFused || k == KernelSIMDQuant):
+		e.predictBlockCompactFusedQ(rows, out, s, k == KernelSIMDQuant)
 	case e.variant == FlatCompact:
 		e.predictBlockCompact(rows, out, s, width)
 	case e.variant == FlatFLInt && width >= 2:

@@ -38,17 +38,20 @@ import (
 //
 // One block loop, predictBlockCompactFusedQ, deals the walk's lanes.
 // A lane is a (tree, row) pair: a tree base and a cursor stepped
-// against one row's ranks. Full groups of the installed width w (2, 4
-// or 8) keep the row-interleaved order, one tree and w rows per walk.
-// Every leftover row — all of them at w = 1 — walks its own trees four
-// at a time (voteRowFused): four lanes with four tree bases that share
-// the row's rank vector, each dealt the next tree when it leafs, so four
-// independent node loads are in flight where a one-tree walk has one.
-// A lone row (Predict, PredictEncoded, PredictPrecoded) is a block of
-// one and takes the same path under every kernel. Each width keeps its
-// cursors unrolled in registers: a loop over an array of cursors
-// measured 12-120% slower, because the compiler keeps array elements in
-// memory.
+// against one row's ranks. A block is quantized in chunks of up to 16
+// rows, and four lanes walk all of a chunk's pairs, dealt tree-major —
+// every row through tree 0, then tree 1 — so a tree's nodes stay
+// cache-hot across the chunk (voteChunkFused). A lane that leafs votes
+// for its row and takes the next pair, so four independent node loads
+// stay in flight until the pairs run out; fixed row groups instead
+// stall each time one of their rows leafs, and on flintperf's large
+// forest, past L2, served ~1.9x fewer rows/s. A one-row chunk, and a
+// lone row (Predict, PredictEncoded, PredictPrecoded) under every
+// kernel, walks its own trees four at a time (voteRowFused): the four
+// lanes share the row's rank vector, which spares them the per-lane
+// rank offsets. The lanes stay unrolled in registers: a loop over an
+// array of cursors measured 12-120% slower, because the compiler keeps
+// array elements in memory.
 
 // packNode64 fuses one compact node into a single word: the split rank
 // in the low 16 bits, the pruned feature index in the next 16, and the
@@ -61,93 +64,19 @@ func packNode64(rank, feat uint16, kids int32) uint64 {
 // child select as derived above. It must mirror the branchy step
 // exactly: q[feat] <= key picks the low (left) half, otherwise the
 // high (right) half.
-func fusedStep(w uint64, q []uint16) int {
-	b := (uint32(uint16(w)) - uint32(q[uint16(w>>16)])) >> 31
-	return int(int16(uint32(w>>32) >> (b << 4)))
+func fusedStep(w uint64, q []uint16) int { return fusedStepAt(w, q, 0) }
+
+// fusedStepAt is fusedStep for a lane whose row's ranks start at
+// offset off of q. The shift count is masked to 5 bits, which changes
+// nothing (it is 0 or 16) but spares the compiler the zero-fill for
+// counts of 32 and more that Go's shift semantics otherwise demand.
+func fusedStepAt(w uint64, q []uint16, off int) int {
+	b := (uint32(uint16(w)) - uint32(q[off+int(uint16(w>>16))])) >> 31
+	return int(int16(uint32(w>>32) >> ((b << 4) & 31)))
 }
 
-// classify2CompactFused walks one tree for two quantized rows with
-// register-resident cursors, each stepped branch-free.
-func (e *FlatForestEngine) classify2CompactFused(q0, q1 []uint16, root int32) (int32, int32) {
-	if root < 0 {
-		return ^root, ^root
-	}
-	nodes := e.nodes64
-	base := int(root)
-	r0, r1 := 0, 0
-	for r0 >= 0 && r1 >= 0 {
-		w0, w1 := nodes[base+r0], nodes[base+r1]
-		r0 = fusedStep(w0, q0)
-		r1 = fusedStep(w1, q1)
-	}
-	if r0 >= 0 {
-		return e.finishCompactFused(q0, base, r0), int32(^r1)
-	}
-	if r1 >= 0 {
-		return int32(^r0), e.finishCompactFused(q1, base, r1)
-	}
-	return int32(^r0), int32(^r1)
-}
-
-// classify4CompactFused is the 4-way interleaved fused walk.
-func (e *FlatForestEngine) classify4CompactFused(q0, q1, q2, q3 []uint16, root int32) (int32, int32, int32, int32) {
-	if root < 0 {
-		c := ^root
-		return c, c, c, c
-	}
-	nodes := e.nodes64
-	base := int(root)
-	r0, r1, r2, r3 := 0, 0, 0, 0
-	for r0 >= 0 && r1 >= 0 && r2 >= 0 && r3 >= 0 {
-		w0, w1, w2, w3 := nodes[base+r0], nodes[base+r1], nodes[base+r2], nodes[base+r3]
-		r0 = fusedStep(w0, q0)
-		r1 = fusedStep(w1, q1)
-		r2 = fusedStep(w2, q2)
-		r3 = fusedStep(w3, q3)
-	}
-	return e.finishCompactFused(q0, base, r0), e.finishCompactFused(q1, base, r1),
-		e.finishCompactFused(q2, base, r2), e.finishCompactFused(q3, base, r3)
-}
-
-// classify8CompactFused is the 8-way interleaved fused walk. Classes
-// are written into out to keep the signature manageable.
-func (e *FlatForestEngine) classify8CompactFused(q *[8][]uint16, root int32, out *[8]int32) {
-	if root < 0 {
-		for i := range out {
-			out[i] = ^root
-		}
-		return
-	}
-	nodes := e.nodes64
-	base := int(root)
-	r0, r1, r2, r3 := 0, 0, 0, 0
-	r4, r5, r6, r7 := 0, 0, 0, 0
-	q0, q1, q2, q3 := q[0], q[1], q[2], q[3]
-	q4, q5, q6, q7 := q[4], q[5], q[6], q[7]
-	for r0 >= 0 && r1 >= 0 && r2 >= 0 && r3 >= 0 && r4 >= 0 && r5 >= 0 && r6 >= 0 && r7 >= 0 {
-		w0, w1, w2, w3 := nodes[base+r0], nodes[base+r1], nodes[base+r2], nodes[base+r3]
-		w4, w5, w6, w7 := nodes[base+r4], nodes[base+r5], nodes[base+r6], nodes[base+r7]
-		r0 = fusedStep(w0, q0)
-		r1 = fusedStep(w1, q1)
-		r2 = fusedStep(w2, q2)
-		r3 = fusedStep(w3, q3)
-		r4 = fusedStep(w4, q4)
-		r5 = fusedStep(w5, q5)
-		r6 = fusedStep(w6, q6)
-		r7 = fusedStep(w7, q7)
-	}
-	out[0] = e.finishCompactFused(q0, base, r0)
-	out[1] = e.finishCompactFused(q1, base, r1)
-	out[2] = e.finishCompactFused(q2, base, r2)
-	out[3] = e.finishCompactFused(q3, base, r3)
-	out[4] = e.finishCompactFused(q4, base, r4)
-	out[5] = e.finishCompactFused(q5, base, r5)
-	out[6] = e.finishCompactFused(q6, base, r6)
-	out[7] = e.finishCompactFused(q7, base, r7)
-}
-
-// finishCompactFused completes one chain after the interleaved fused
-// loop exits with this cursor still on an inner node.
+// finishCompactFused completes one chain after a lane loop exits with
+// this cursor still on an inner node.
 func (e *FlatForestEngine) finishCompactFused(q []uint16, base, rel int) int32 {
 	if rel < 0 {
 		return int32(^rel)
@@ -185,7 +114,7 @@ func branchlessRank(cuts []uint32, lo, hi int32, key uint32) uint16 {
 }
 
 // quantizeBlockFused is quantizeBlock with the branchless search: it
-// quantizes a group of up to 8 float rows feature-major into
+// quantizes a chunk of up to 16 float rows feature-major into
 // consecutive numPruned-wide lanes of dst, each rank computed by
 // branchlessRank so the group's searches retire without mispredicts.
 func (e *FlatForestEngine) quantizeBlockFused(rows [][]float32, dst []uint16) {
@@ -238,9 +167,8 @@ func (e *FlatForestEngine) classifyCompactFused(q []uint16, root int32) int32 {
 }
 
 // voteRowFused tallies every tree's class for one quantized row into
-// votes (zeroed by the caller), walking four trees at a time: the
-// row-interleaved walks' lock-step loop with the roles swapped, each
-// lane carrying its own tree base while all four read the same ranks.
+// votes (zeroed by the caller), walking four trees at a time: each lane
+// carries its own tree base while all four read the same ranks.
 // When a lane leafs, the loop stops, dealLane votes it and deals it the
 // next tree, and the loop resumes, so four node loads stay in flight
 // until the trees run out. The lanes still walking then finish on their
@@ -303,7 +231,7 @@ func (e *FlatForestEngine) rowRanks(stack *[maxStackQuantizedFeatures]uint16) []
 
 // predictRanked classifies one quantized row of a compact engine as a
 // block of one: the row walks its trees four at a time, exactly as a
-// leftover row of a batch block does.
+// one-row chunk of a fused batch block does.
 func (e *FlatForestEngine) predictRanked(q []uint16) int32 {
 	var stack [maxStackClasses]int32
 	votes := voteSlice(&stack, e.numClasses)
@@ -311,68 +239,119 @@ func (e *FlatForestEngine) predictRanked(q []uint16) int32 {
 	return rf.Argmax(votes)
 }
 
-// predictBlockCompactFused is the fused kernel's block loop with the
-// scalar branchless quantizer.
-func (e *FlatForestEngine) predictBlockCompactFused(rows [][]float32, out []int32, s *flatScratch, width int) {
-	e.predictBlockCompactFusedQ(rows, out, s, width, false)
+// voteChunkFused tallies every tree's class for each of a chunk's k
+// quantized rows (row i's ranks at q[i*numPruned:]) into votes[i]
+// (zeroed by the caller). Four lanes walk the chunk's (tree, row) pairs,
+// dealt tree-major by pairDealer: voteRowFused's loop, with each lane
+// also carrying its row's rank offset. When the pairs run out, the lanes
+// still walking finish on their own.
+func (e *FlatForestEngine) voteChunkFused(q []uint16, k int, votes *[16][]int32) {
+	roots := e.roots
+	if len(roots)*k < 4 {
+		for _, root := range roots {
+			for i := 0; i < k; i++ {
+				votes[i][e.classifyCompactFused(q[i*e.numPruned:], root)]++
+			}
+		}
+		return
+	}
+	nodes := e.nodes64
+	d := pairDealer{roots: roots, votes: votes, nq: e.numPruned, k: k}
+	b0, r0, o0 := d.start(0)
+	b1, r1, o1 := d.start(1)
+	b2, r2, o2 := d.start(2)
+	b3, r3, o3 := d.start(3)
+	for {
+		for r0 >= 0 && r1 >= 0 && r2 >= 0 && r3 >= 0 {
+			w0, w1, w2, w3 := nodes[b0+r0], nodes[b1+r1], nodes[b2+r2], nodes[b3+r3]
+			r0 = fusedStepAt(w0, q, o0)
+			r1 = fusedStepAt(w1, q, o1)
+			r2 = fusedStepAt(w2, q, o2)
+			r3 = fusedStepAt(w3, q, o3)
+		}
+		if d.t == len(roots) {
+			break
+		}
+		// Deal every leafed lane a pair while pairs are left; the rest
+		// keep their leaf for the drain below.
+		if r0 < 0 {
+			b0, r0, o0 = d.deal(0, r0)
+		}
+		if r1 < 0 && d.t < len(roots) {
+			b1, r1, o1 = d.deal(1, r1)
+		}
+		if r2 < 0 && d.t < len(roots) {
+			b2, r2, o2 = d.deal(2, r2)
+		}
+		if r3 < 0 && d.t < len(roots) {
+			b3, r3, o3 = d.deal(3, r3)
+		}
+	}
+	votes[d.row[0]][e.finishCompactFused(q[o0:], b0, r0)]++
+	votes[d.row[1]][e.finishCompactFused(q[o1:], b1, r1)]++
+	votes[d.row[2]][e.finishCompactFused(q[o2:], b2, r2)]++
+	votes[d.row[3]][e.finishCompactFused(q[o3:], b3, r3)]++
 }
 
-// predictBlockCompactFusedQ deals one block's (tree, row) lanes. Full
-// groups of the width's g rows (g = 2, 4 or 8; width 16 walks as 8)
-// quantize together — simdQ selects the 8-lane vector search of
-// KernelSIMDQuant (flat_simd16.go) over the scalar branchless one,
-// identical ranks either way — and walk each tree with g row cursors.
-// The fewer than g rows left over, every row at width 1, are quantized
-// one at a time and walk their trees four at a time (voteRowFused).
-func (e *FlatForestEngine) predictBlockCompactFusedQ(rows [][]float32, out []int32, s *flatScratch, width int, simdQ bool) {
+// pairDealer hands out a chunk's (tree, row) pairs to voteChunkFused's
+// four lanes in tree-major order, and remembers which row each lane
+// walks so a leafed lane votes for it.
+type pairDealer struct {
+	roots []int32
+	votes *[16][]int32
+	nq, k int
+	t, r  int    // the next pair: tree t, row r
+	row   [4]int // the row lane i walks
+}
+
+// start deals lane i the next pair: its tree's base and first cursor
+// (laneStart) and the rank offset of its row.
+func (d *pairDealer) start(i int) (base, rel, off int) {
+	base, rel = laneStart(d.roots[d.t])
+	d.row[i], off = d.r, d.r*d.nq
+	if d.r++; d.r == d.k {
+		d.t, d.r = d.t+1, 0
+	}
+	return base, rel, off
+}
+
+// deal votes leafed lane i (rel < 0) for its row and deals it the next
+// pair, which the caller has checked is left.
+func (d *pairDealer) deal(i, rel int) (int, int, int) {
+	d.votes[d.row[i]][^rel]++
+	return d.start(i)
+}
+
+// predictBlockCompactFusedQ is the block loop of the fused and
+// SIMD-quant kernels. It quantizes the block in chunks of up to 16 rows
+// into s.q — simdQ selects KernelSIMDQuant's 8-lane vector search
+// (flat_simd.go) over the scalar branchless one, run on each chunk's
+// 8-row groups, identical ranks either way — and deals each chunk's
+// (tree, row) pairs to four lanes (voteChunkFused). A one-row chunk
+// walks its trees four at a time (voteRowFused) instead.
+func (e *FlatForestEngine) predictBlockCompactFusedQ(rows [][]float32, out []int32, s *flatScratch, simdQ bool) {
 	nq := e.numPruned
-	nc := e.numClasses
-	g := 1
-	switch {
-	case width >= 8:
-		g = 8
-	case width >= 4:
-		g = 4
-	case width >= 2:
-		g = 2
-	}
-	var qs [8][]uint16
-	for i := 0; i < g; i++ {
-		qs[i] = s.q[i*nq : (i+1)*nq]
-	}
-	b := 0
-	for ; g > 1 && b+g <= len(rows); b += g {
+	for b := 0; b < len(rows); {
+		k := min(len(rows)-b, 16)
+		chunk := rows[b : b+k]
 		if simdQ {
-			e.quantizeBlockSIMD(rows[b:b+g], s.q)
+			e.quantizeBlockSIMD(chunk[:min(k, 8)], s.q)
+			if k > 8 {
+				e.quantizeBlockSIMD(chunk[8:], s.q[8*nq:])
+			}
 		} else {
-			e.quantizeBlockFused(rows[b:b+g], s.q)
+			e.quantizeBlockFused(chunk, s.q)
 		}
-		var stack [8][maxStackClasses]int32
-		lanes := voteLanes(&stack, s.votes, nc, g)
-		var cls [8]int32
-		for _, root := range e.roots {
-			switch g {
-			case 8:
-				e.classify8CompactFused(&qs, root, &cls)
-			case 4:
-				cls[0], cls[1], cls[2], cls[3] = e.classify4CompactFused(qs[0], qs[1], qs[2], qs[3], root)
-			default:
-				cls[0], cls[1] = e.classify2CompactFused(qs[0], qs[1], root)
-			}
-			for i := 0; i < g; i++ {
-				lanes[i][cls[i]]++
-			}
+		var stack [16][maxStackClasses]int32
+		votes := voteLanes16(&stack, s.votes, e.numClasses, k)
+		if k == 1 {
+			e.voteRowFused(s.q[:nq], votes[0])
+		} else {
+			e.voteChunkFused(s.q, k, &votes)
 		}
-		for i := 0; i < g; i++ {
-			out[b+i] = rf.Argmax(lanes[i])
+		for i := 0; i < k; i++ {
+			out[b+i] = rf.Argmax(votes[i])
 		}
-	}
-	q := s.q[:nq]
-	for ; b < len(rows); b++ {
-		e.quantizeBlockFused(rows[b:b+1], q)
-		var stack [8][maxStackClasses]int32
-		votes := voteLanes(&stack, s.votes, nc, 1)[0]
-		e.voteRowFused(q, votes)
-		out[b] = rf.Argmax(votes)
+		b += k
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -85,12 +86,14 @@ func TestBranchlessRankMatchesBranchy(t *testing.T) {
 // compactKernels lists every compact walk kernel.
 var compactKernels = []Kernel{KernelBranchy, KernelFused, KernelSIMDQuant, KernelSIMD}
 
-// checkCompactModes is the lane dealer's differential. Under every
+// checkCompactModes is the lane dealers' differential. Under every
 // kernel, e's single-row entries (Predict, PredictEncoded,
 // PredictPrecoded: blocks of one) and its batch path at widths 1, 2, 4
-// and 8 with every block size from 1 to 2w+1 — full groups, leftover
-// rows after them, and blocks of leftovers alone — must all return
-// want.
+// and 8 must all return want. The batch runs every block size from 1
+// to 2w+1 — full row groups, leftover rows after them, and blocks of
+// leftovers alone; for the fused kernels' 16-row chunks, every chunk
+// size and a one-row chunk after a full one — and blocks of 33 and 48
+// rows, two and three full chunks with and without a one-row remainder.
 func checkCompactModes(t *testing.T, e *FlatForestEngine, rows [][]float32, want []int32) {
 	t.Helper()
 	for _, k := range compactKernels {
@@ -111,7 +114,11 @@ func checkCompactModes(t *testing.T, e *FlatForestEngine, rows [][]float32, want
 			if e.Kernel() != k {
 				t.Fatalf("SetInterleave(%d) dropped the %v kernel", width, k)
 			}
+			blocks := []int{33, 48}
 			for block := 1; block <= 2*width+1; block++ {
+				blocks = append(blocks, block)
+			}
+			for _, block := range blocks {
 				got := e.PredictBatch(rows, nil, 2, block)
 				for i := range got {
 					if got[i] != want[i] {
@@ -355,9 +362,11 @@ func skewTree(depth int, feat int32) rf.Tree {
 // i, so a row's value on feature i sets the depth at which tree i
 // leafs. In the row-interleaved walks one row survives to depth 48
 // while the rest of its group exits at once, rotated through every
-// position of a group of 8; in the dealer's tree lanes one tree of a
-// row survives to depth 48, rotated through all nine trees — the four
-// first lanes and every refill. Staircases and uniform rows ride
+// position of a group of 8; in the fused dealers' lanes one (tree, row)
+// pair survives to depth 48 — one deep tree rotated through all nine
+// trees, or one deep row rotated through a chunk — so the deep pair
+// holds each of the four lanes, is refilled around, and is still
+// walking when the final drain runs. Staircases and uniform rows ride
 // along. Every mode must match rf.Forest.Predict and the FLInt arena.
 func TestSkewedDepthFinishDrains(t *testing.T) {
 	const depth = 48
@@ -452,7 +461,9 @@ func TestSkewedDepthFinishDrains(t *testing.T) {
 
 // TestFusedZeroAllocSteadyState extends the zero-alloc acceptance
 // criterion to the fused kernel: steady-state Batcher prediction with
-// the fused kernel installed allocates nothing at any interleave width.
+// the fused kernel installed allocates nothing, at Batcher blocks of
+// one partial chunk (7 rows), one full chunk (16) and two full chunks
+// plus a partial one (40).
 func TestFusedZeroAllocSteadyState(t *testing.T) {
 	f, d := trainedForest(t, "magic", 6, 8)
 	e, err := NewFlat(f, FlatCompact)
@@ -463,17 +474,78 @@ func TestFusedZeroAllocSteadyState(t *testing.T) {
 		t.Fatalf("fell back to %v", e.Variant())
 	}
 	e.SetKernel(KernelFused)
-	for _, width := range []int{1, 2, 4, 8} {
-		e.SetInterleave(width)
-		b := NewBatcher(e, 2, 7)
+	for _, block := range []int{7, 16, 40} {
+		b := NewBatcher(e, 2, block)
 		out := make([]int32, d.Len())
 		b.Predict(d.Features, out) // warm up
 		if avg := testing.AllocsPerRun(20, func() {
 			b.Predict(d.Features, out)
 		}); avg != 0 {
-			t.Errorf("width=%d: fused Batcher.Predict allocates %.1f objects per batch, want 0", width, avg)
+			t.Errorf("block=%d: fused Batcher.Predict allocates %.1f objects per batch, want 0", block, avg)
 		}
 		b.Close()
+	}
+}
+
+// TestCalibrationSlate pins what one calibration pass times: the
+// branchy and SIMD kernels at every row-group width, the fused and
+// SIMD-quant kernels once each at width 1 (their tree lanes read no
+// width, so other widths would time the same code again), and the
+// width-16 SIMD walk with lane compaction off and on — 12 candidates
+// where the SIMD kernels run natively, 5 elsewhere. A pinned kernel is
+// timed alone, the FLInt arena times its four widths, and construction
+// installs width 1 under the fused and SIMD-quant kernels whatever the
+// width gates say.
+func TestCalibrationSlate(t *testing.T) {
+	slate := func(e *FlatForestEngine) string {
+		var s []string
+		for _, c := range e.modeCandidates() {
+			d := fmt.Sprintf("%v/%d", modeKernel(c), modeWidth(c))
+			if r := modeRefill(c); r != 0 {
+				d += fmt.Sprintf("/r%d", r)
+			}
+			s = append(s, d)
+		}
+		return strings.Join(s, " ")
+	}
+	want, wantN := "branchy/1 branchy/2 branchy/4 branchy/8 fused/1", 5
+	if simdKernelAvailable() {
+		want += " simd-quant/1 simd/1 simd/2 simd/4 simd/8 simd/16/r1 simd/16/r6"
+		wantN = 12
+	}
+	compact := &FlatForestEngine{variant: FlatCompact}
+	if got := slate(compact); got != want {
+		t.Errorf("compact slate = %q, want %q", got, want)
+	}
+	if n := len(compact.modeCandidates()); n != wantN {
+		t.Errorf("compact slate has %d candidates, want %d", n, wantN)
+	}
+	for _, k := range []Kernel{KernelFused, KernelSIMDQuant} {
+		compact.kernelPin.Store(int32(k) + 1)
+		if got, want := slate(compact), k.String()+"/1"; got != want {
+			t.Errorf("slate pinned to %v = %q, want %q", k, got, want)
+		}
+	}
+	if got, want := slate(&FlatForestEngine{variant: FlatFLInt}), "branchy/1 branchy/2 branchy/4 branchy/8"; got != want {
+		t.Errorf("FLInt slate = %q, want %q", got, want)
+	}
+
+	// Width gates that would pick 8 for a 7 MB arena leave the fused
+	// kernels at width 1; the branchy kernel still takes the gated width.
+	g := DefaultInterleaveGates()
+	g.CompactMin8 = 1 << 20
+	if w, k := g.modeFor(FlatCompact, 7<<20); w != 1 || k != KernelFused {
+		t.Errorf("modeFor(fused gates) = (x%d, %v), want (x1, fused)", w, k)
+	}
+	if simdKernelAvailable() {
+		g.CompactSIMDQuantMin = 1
+		if w, k := g.modeFor(FlatCompact, 7<<20); w != 1 || k != KernelSIMDQuant {
+			t.Errorf("modeFor(simd-quant gates) = (x%d, %v), want (x1, simd-quant)", w, k)
+		}
+	}
+	g.CompactFusedMin, g.CompactSIMDQuantMin = 0, 0
+	if w, k := g.modeFor(FlatCompact, 7<<20); w != 8 || k != KernelBranchy {
+		t.Errorf("modeFor(branchy gates) = (x%d, %v), want (x8, branchy)", w, k)
 	}
 }
 

@@ -34,8 +34,9 @@ var interleaveWidths = [4]int{1, 2, 4, 8}
 // simdWidth16 is the dual-group SIMD width: 16 rows per group as two
 // 8-lane halves whose independent gather chains the walk interleaves,
 // so the out-of-order core overlaps four node gathers per level instead
-// of two. Only the SIMD kernel walks it; the scalar kernels treat a
-// width of 16 as 8 (their widest row group is the 8-way walk).
+// of two. Only the SIMD kernel walks it; the branchy kernel treats a
+// width of 16 as 8 (its widest row group is the 8-way walk), and the
+// fused and SIMD-quant kernels read no width at all.
 const simdWidth16 = 16
 
 // Kernel selects how the compact batch kernel resolves each node's
@@ -53,14 +54,16 @@ const simdWidth16 = 16
 // kernels produce bit-identical predictions; which one is faster is a
 // host property (mispredict penalty vs. dependent-chain latency vs.
 // gather throughput) that calibration measures alongside the interleave
-// width. The kernel governs a block's full row groups; a lone row and
-// the rows a block leaves over always walk the fused step four trees at
-// a time (flat_fused.go). Only the compact SoA arena has fused,
-// SIMD-quant and SIMD forms; other variants always run branchy. The
-// constants are ordered
-// by how aggressively each kernel converts control flow into data
-// flow — kernelGatesFromLadder relies on that order when forcing a
-// measured ladder monotone.
+// width. The branchy and SIMD kernels walk a block in row groups of the
+// installed width. The fused and SIMD-quant kernels read no width: they
+// deal a block's (tree, row) pairs to four tree lanes, 16 rows at a
+// time, and differ only in the quantizer. A lone row walks the fused
+// step four trees at a time under every kernel (flat_fused.go). Only
+// the compact SoA arena has fused, SIMD-quant and SIMD forms; other
+// variants always run branchy. The constants are ordered by how
+// aggressively each kernel converts control flow into data flow —
+// kernelGatesFromLadder relies on that order when forcing a measured
+// ladder monotone.
 type Kernel int32
 
 const (
@@ -314,13 +317,18 @@ func (g InterleaveGates) kernelFor(v FlatVariant, arenaBytes int) Kernel {
 
 // modeFor resolves the full construction-time (width, kernel) pair:
 // widthFor's scalar ladder, widened to the dual-group 16 when the SIMD
-// kernel is selected and the footprint crosses CompactSIMD16Min. The
-// compaction threshold is left at the kernel default — it is installed
-// explicitly only by a per-engine calibration pass that measured it.
+// kernel is selected and the footprint crosses CompactSIMD16Min, and
+// width 1 under the fused and SIMD-quant kernels, whose tree lanes read
+// no width. The compaction threshold is left at the kernel default — it
+// is installed explicitly only by a per-engine calibration pass that
+// measured it.
 func (g InterleaveGates) modeFor(v FlatVariant, arenaBytes int) (int, Kernel) {
 	w := g.widthFor(v, arenaBytes)
 	k := g.kernelFor(v, arenaBytes)
-	if k == KernelSIMD && g.CompactSIMD16Min > 0 && arenaBytes >= g.CompactSIMD16Min {
+	switch {
+	case k == KernelFused || k == KernelSIMDQuant:
+		w = 1
+	case k == KernelSIMD && g.CompactSIMD16Min > 0 && arenaBytes >= g.CompactSIMD16Min:
 		w = simdWidth16
 	}
 	return w, k
@@ -351,8 +359,10 @@ func (e *FlatForestEngine) ArenaNodes() int {
 	return len(e.arena)
 }
 
-// Interleave returns the batch kernel's current cursor count (1, 2, 4
-// or 8).
+// Interleave returns the batch kernel's current row-group width (1, 2,
+// 4, 8, or 16 under the SIMD kernel). Calibration and construction
+// install 1 under the fused and SIMD-quant kernels, which read no
+// width.
 func (e *FlatForestEngine) Interleave() int { return modeWidth(e.mode.Load()) }
 
 // Kernel returns the compact batch kernel's current child-select
@@ -362,9 +372,10 @@ func (e *FlatForestEngine) Kernel() Kernel { return modeKernel(e.mode.Load()) }
 // SetInterleave forces the batch kernel's cursor count, bypassing the
 // calibrated gates; the requested width is rounded down to the nearest
 // supported one (1, 2, 4, 8 — and 16 on the compact arena, where the
-// SIMD kernel walks two pipelined 8-lane groups; the scalar kernels run
-// a forced 16 as their 8-way walk) and returned. Only the FLInt and
-// compact kernels interleave; other variants ignore the setting. The
+// SIMD kernel walks two pipelined 8-lane groups; the branchy kernel runs
+// a forced 16 as its 8-way walk) and returned. Only the FLInt arena and
+// the compact branchy and SIMD kernels interleave rows; the fused and
+// SIMD-quant kernels and other variants ignore the setting. The
 // width is installed atomically and the current kernel and compaction
 // threshold are preserved, so calling while Batcher workers are in
 // flight is safe (in-flight blocks finish at the old width).
@@ -446,16 +457,23 @@ func (e *FlatForestEngine) candidateKernels() []Kernel {
 }
 
 // modeCandidates expands candidateKernels into the full candidate list
-// one calibration pass times: every scalar width per kernel, and — for
-// the SIMD kernel — the dual-group width 16 twice, with lane compaction
-// off (threshold 1: a group drains to its deepest lane before
-// refilling) and on (the default threshold: finished lanes are
-// compacted out and refilled mid-walk). The compaction threshold is a
-// measured dimension like any other, so hosts where the refill round
-// trip costs more than the straggler steps it saves never install it.
+// one calibration pass times: every scalar width for the branchy and
+// SIMD kernels, the fused and SIMD-quant kernels once each at width 1
+// (they walk tree lanes and never read the width, so timing them at
+// other widths would time the same code again), and — for the SIMD
+// kernel — the dual-group width 16 twice, with lane compaction off
+// (threshold 1: a group drains to its deepest lane before refilling)
+// and on (the default threshold: finished lanes are compacted out and
+// refilled mid-walk). The compaction threshold is a measured dimension
+// like any other, so hosts where the refill round trip costs more than
+// the straggler steps it saves never install it.
 func (e *FlatForestEngine) modeCandidates() []int32 {
 	var cands []int32
 	for _, k := range e.candidateKernels() {
+		if k == KernelFused || k == KernelSIMDQuant {
+			cands = append(cands, packMode(1, k))
+			continue
+		}
 		for _, w := range interleaveWidths {
 			cands = append(cands, packMode(w, k))
 		}
@@ -632,9 +650,10 @@ func capRows(sample [][]float32, max int) [][]float32 {
 	return out
 }
 
-// timeModes times the block kernel over rows at every candidate mode —
-// each supported interleave width under each competing kernel, plus the
-// width-16 SIMD walk's compaction-on/off pair — spending roughly budget
+// timeModes times the block kernel over rows at every candidate mode of
+// modeCandidates — each row-group width of the branchy and SIMD
+// kernels, fused and SIMD-quant once each, plus the width-16 SIMD
+// walk's compaction-on/off pair — spending roughly budget
 // wall time in total, and returns the fastest mode word (on an exact
 // tie the first-measured candidate wins; the incumbent mode is returned
 // only when nothing was measured), whether any candidate actually
@@ -699,9 +718,10 @@ func (e *FlatForestEngine) timeModes(rows [][]float32, budget time.Duration) (mo
 
 // Calibrate measures the interleave crossover points on this host, one
 // gate set per interleaving arena layout: for a ladder of synthetic
-// arena sizes it times the FLInt and compact batch kernels at widths
-// 1/2/4/8 on rows spanning each arena's own split range, picks the
-// fastest width per (layout, size), derives monotone byte thresholds,
+// arena sizes it times each arena's calibration slate (modeCandidates:
+// the FLInt kernel at widths 1/2/4/8, every compact kernel) on rows
+// spanning the arena's own split range, picks the fastest (width,
+// kernel) per (layout, size), derives monotone byte thresholds,
 // installs them for subsequently constructed engines
 // (SetInterleaveGates) and returns them. The whole pass costs roughly
 // budget wall time (budget <= 0 selects 200ms); call it once at process
@@ -713,20 +733,17 @@ func Calibrate(budget time.Duration) InterleaveGates {
 	// Depth-9 synthetic trees stacked to the ladder's target footprints,
 	// bracketing the L2/L3/DRAM regimes where the crossovers live.
 	sizes := []int{256 << 10, 1 << 20, 4 << 20, 16 << 20}
-	// The FLInt ladder times one candidate per width; the compact ladder
-	// times each width under every competing kernel — two on scalar-only
-	// hosts, four where the SIMD kernels are native, plus the width-16
-	// walk's compaction-on/off pair. Split the budget so every candidate
-	// gets an equal slice — an even per-engine split would shrink each
+	// Each ladder times its arena's modeCandidates: one candidate per
+	// width for FLInt; for compact, the branchy and SIMD widths, fused
+	// and SIMD-quant once each, and the width-16 walk's
+	// compaction-on/off pair. Split the budget so every candidate gets
+	// an equal slice — an even per-engine split would shrink each
 	// compact candidate's slice and raise the odds that budget
 	// starvation skips fused or SIMD at exactly the sizes where they win
 	// (a skipped candidate never competes, and the MaxInt gate that
 	// falls out would persist as "never won").
-	flintCands := len(interleaveWidths)
-	compactCands := 2 * len(interleaveWidths)
-	if simdKernelAvailable() {
-		compactCands = 4*len(interleaveWidths) + 2
-	}
+	flintCands := len((&FlatForestEngine{variant: FlatFLInt}).modeCandidates())
+	compactCands := len((&FlatForestEngine{variant: FlatCompact}).modeCandidates())
 	perCand := budget / time.Duration(len(sizes)*(flintCands+compactCands))
 	flintBest := make([]int, len(sizes))
 	compactBest := make([]int, len(sizes))

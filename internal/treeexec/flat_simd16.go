@@ -176,15 +176,3 @@ func (e *FlatForestEngine) predictBlockCompactSIMD16(rows [][]float32, out []int
 		b += k
 	}
 }
-
-// predictBlockCompactSIMDQuant is the hybrid quantizer-only kernel:
-// the vector 8-lane segment rank (quantizeBlockSIMD) replaces the
-// scalar branchless quantizer — profitable because one feature's cut
-// segment is shared across the whole group, the lockstep halving has
-// no gathers on its critical path, and quantization cost scales with
-// features rather than forest depth — while the tree walk itself stays
-// the scalar fused walk, which keeps winning wherever the full-walk
-// SIMD kernel is gather-latency-bound.
-func (e *FlatForestEngine) predictBlockCompactSIMDQuant(rows [][]float32, out []int32, s *flatScratch, width int) {
-	e.predictBlockCompactFusedQ(rows, out, s, width, true)
-}
