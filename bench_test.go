@@ -595,10 +595,9 @@ func iee754SI(b uint64) int64 { return int64(int32(uint32(b))) }
 // rows/sec on the two highest-volume workloads, contrasting the per-row
 // Batch over the per-tree FLInt engine with the row-blocked arena
 // kernel (ephemeral workers, and the persistent zero-alloc Batcher) at
-// matched worker counts, for both the 16-byte FLInt arena and the
-// 8-byte compact SoA arena: the row-group kernels at every interleave
-// width (x1/x2/x4/x8 cursor walks), the fused and SIMD-quant tree lanes
-// once each. -benchmem makes the steady-state allocation claim
+// matched worker counts, for both the 16-byte FLInt arena — its
+// row-group walk at every interleave width (x1/x2/x4/x8 cursors) — and
+// the 8-byte compact arena's tree-lane walk. -benchmem makes the steady-state allocation claim
 // measurable: the Batcher rows must report 0 allocs/op.
 func BenchmarkBatchThroughput(b *testing.B) {
 	workerCounts := []int{1, 2}
@@ -639,38 +638,16 @@ func BenchmarkBatchThroughput(b *testing.B) {
 				}
 				reportRows(b)
 			})
-			for _, arena := range []struct {
-				tag    string
-				e      *treeexec.FlatForestEngine
-				k      treeexec.Kernel
-				widths []int
-			}{
-				{"blocked", flat, treeexec.KernelBranchy, nil},
-				{"compact", compact, treeexec.KernelBranchy, nil},
-				{"compact-fused", compact, treeexec.KernelFused, []int{1}},
-				{"compact-simd", compact, treeexec.KernelSIMD, nil},
-				// The dual-group walk exists only at width 16; the fused
-				// and SIMD-quant kernels read no width, so one row each
-				// times them.
-				{"compact-simd16", compact, treeexec.KernelSIMD, []int{16}},
-				{"compact-simdquant", compact, treeexec.KernelSIMDQuant, []int{1}},
-			} {
+			for _, arena := range benchArenas(flat, compact) {
 				arena := arena
-				// Forced interleave widths and kernels expose the
-				// 2/4/8-way walks and the kernel gaps individually;
-				// serving code normally leaves the calibrated gate in
-				// charge. (SetKernel is a no-op on the AoS arena, which
-				// has no fused or SIMD form; compact-simd runs the
-				// portable fallback on hosts without the vector ISA.)
-				widths := arena.widths
-				if widths == nil {
-					widths = []int{1, 2, 4, 8}
-				}
-				for _, width := range widths {
+				// Forced interleave widths expose the FLInt arena's
+				// 2/4/8-way walks individually; serving code normally
+				// leaves the calibrated gate in charge. The compact
+				// arena's one walk reads no width.
+				for _, width := range arena.widths {
 					width := width
 					b.Run(fmt.Sprintf("%s/%s/x%d/w%d", ds, arena.tag, width, w), func(b *testing.B) {
 						arena.e.SetInterleave(width)
-						arena.e.SetKernel(arena.k)
 						b.ReportAllocs()
 						out := make([]int32, len(rows))
 						b.ResetTimer()
@@ -687,7 +664,6 @@ func BenchmarkBatchThroughput(b *testing.B) {
 			}{{"batcher", flat}, {"batcher-compact", compact}} {
 				arena := arena
 				b.Run(fmt.Sprintf("%s/%s/w%d", ds, arena.tag, w), func(b *testing.B) {
-					arena.e.SetKernel(treeexec.KernelAuto) // clear the A/B pin
 					arena.e.CalibrateInterleave(20 * time.Millisecond)
 					pool := treeexec.NewBatcher(arena.e, w, 0)
 					defer pool.Close()
@@ -728,29 +704,12 @@ func BenchmarkBatchThroughput(b *testing.B) {
 	reportHostileRows := func(b *testing.B) {
 		b.ReportMetric(float64(len(hostileRows))*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 	}
-	for _, arena := range []struct {
-		tag    string
-		e      *treeexec.FlatForestEngine
-		k      treeexec.Kernel
-		widths []int
-	}{
-		{"blocked", hflat, treeexec.KernelBranchy, nil},
-		{"compact", hcompact, treeexec.KernelBranchy, nil},
-		{"compact-fused", hcompact, treeexec.KernelFused, []int{1}},
-		{"compact-simd", hcompact, treeexec.KernelSIMD, nil},
-		{"compact-simd16", hcompact, treeexec.KernelSIMD, []int{16}},
-		{"compact-simdquant", hcompact, treeexec.KernelSIMDQuant, []int{1}},
-	} {
+	for _, arena := range benchArenas(hflat, hcompact) {
 		arena := arena
-		widths := arena.widths
-		if widths == nil {
-			widths = []int{1, 2, 4, 8}
-		}
-		for _, width := range widths {
+		for _, width := range arena.widths {
 			width := width
 			b.Run(fmt.Sprintf("hostile/%s/x%d/w1", arena.tag, width), func(b *testing.B) {
 				arena.e.SetInterleave(width)
-				arena.e.SetKernel(arena.k)
 				b.ReportAllocs()
 				out := make([]int32, len(hostileRows))
 				b.ResetTimer()
@@ -785,29 +744,12 @@ func BenchmarkBatchThroughput(b *testing.B) {
 	reportAdvRows := func(b *testing.B) {
 		b.ReportMetric(float64(len(advRows))*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 	}
-	for _, arena := range []struct {
-		tag    string
-		e      *treeexec.FlatForestEngine
-		k      treeexec.Kernel
-		widths []int
-	}{
-		{"blocked", advFlat, treeexec.KernelBranchy, nil},
-		{"compact", advCompact, treeexec.KernelBranchy, nil},
-		{"compact-fused", advCompact, treeexec.KernelFused, []int{1}},
-		{"compact-simd", advCompact, treeexec.KernelSIMD, nil},
-		{"compact-simd16", advCompact, treeexec.KernelSIMD, []int{16}},
-		{"compact-simdquant", advCompact, treeexec.KernelSIMDQuant, []int{1}},
-	} {
+	for _, arena := range benchArenas(advFlat, advCompact) {
 		arena := arena
-		widths := arena.widths
-		if widths == nil {
-			widths = []int{1, 2, 4, 8}
-		}
-		for _, width := range widths {
+		for _, width := range arena.widths {
 			width := width
 			b.Run(fmt.Sprintf("adversarial/magic/%s/x%d/w1", arena.tag, width), func(b *testing.B) {
 				arena.e.SetInterleave(width)
-				arena.e.SetKernel(arena.k)
 				b.ReportAllocs()
 				out := make([]int32, len(advRows))
 				b.ResetTimer()
@@ -818,6 +760,20 @@ func BenchmarkBatchThroughput(b *testing.B) {
 			})
 		}
 	}
+}
+
+// benchArena is one row family of BenchmarkBatchThroughput: an engine
+// and the interleave widths it is timed at.
+type benchArena struct {
+	tag    string
+	e      *treeexec.FlatForestEngine
+	widths []int
+}
+
+// benchArenas returns the two row families: the FLInt arena's blocked
+// walk at every interleave width, and the compact arena's one walk.
+func benchArenas(flat, compact *treeexec.FlatForestEngine) []benchArena {
+	return []benchArena{{"blocked", flat, []int{1, 2, 4, 8}}, {"compact", compact, []int{1}}}
 }
 
 // randomBalancedForest grows a forest for the mispredict-hostile bench:

@@ -17,8 +17,6 @@
 //	flintbench -grid quick -backends interp,cc
 //	flintbench -grid quick -backends sim -csv out/
 //	flintbench -batchjson BENCH_batch.json
-//	flintbench -batchjson BENCH_fused.json -kernel fused
-//	flintbench -batchjson BENCH_simd.json -kernel simd
 //	flintbench -laddermd BENCH_batch.json
 //	flintbench -trenddiff old/BENCH_batch.json BENCH_batch.json
 //	flintbench -trendhistory run4.json run3.json run2.json run1.json BENCH_batch.json
@@ -66,8 +64,6 @@ func main() {
 		auditJSON = flag.String("audit", "", "run the adversarial robustness audit (decision-path attack flip rate vs perturbation budget per workload), write JSON to this path and exit")
 		serveJSON = flag.String("servebench", "", "run the HTTP serving bench (coalesced rows/s + p50/p99 latency per workload through internal/serve, every response verified against in-process Predict), write JSON to this path and exit")
 		auditRows = flag.Int("auditrows", 0, "test rows attacked per workload for -audit (0 = 150)")
-		kernel    = flag.String("kernel", "auto", "compact walk kernel for -batchjson: auto lets calibration pick, branchy|fused|simd-quant|simd pins it for A/B runs (the choice lands in the report's kernel column; the simd kernels run the portable fallback where the host ISA lacks them)")
-		printISA  = flag.Bool("printisa", false, "print the vector ISA the SIMD kernels run natively on this host (treeexec.DetectedISA; \"none\" where only the portable fallback exists) and exit — CI uses it to decide whether the simd differential tests were required to execute")
 		laddermd  = flag.Bool("laddermd", false, "render a BENCH_batch.json report's per-candidate calibration ladders as a GitHub-markdown table (usage: flintbench -laddermd BENCH_batch.json) for the CI job summary and exit")
 		trenddiff = flag.Bool("trenddiff", false, "diff two BENCH_batch.json reports (usage: flintbench -trenddiff old.json new.json), print per-(workload, variant) rows/s deltas and exit")
 		trendhist = flag.Bool("trendhistory", false, "walk a chronological sequence of BENCH_batch.json reports (usage: flintbench -trendhistory oldest.json ... newest.json), print each (workload, variant) cell's rows/s trajectory and exit")
@@ -81,15 +77,6 @@ func main() {
 		if err := loadOrCalibrateGates(*gatesFile); err != nil {
 			log.Fatal(err)
 		}
-	}
-
-	if *printISA {
-		if isa := treeexec.DetectedISA(); isa != "" {
-			fmt.Println(isa)
-		} else {
-			fmt.Println("none")
-		}
-		return
 	}
 
 	if *machines {
@@ -135,7 +122,7 @@ func main() {
 	}
 
 	if *batchJSON != "" {
-		if err := runBatchBench(*batchJSON, *batchRows, *kernel); err != nil {
+		if err := runBatchBench(*batchJSON, *batchRows); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -206,7 +193,7 @@ func main() {
 	// quantized 8-byte compact arena, normalized against the same naive
 	// baseline.
 	if rowsArena := bench.Table(res, bench.ImplNaive,
-		[]bench.Impl{bench.ImplFlat, bench.ImplFlatBatch, bench.ImplFlatCompact, bench.ImplFlatFused}); len(rowsArena) > 0 {
+		[]bench.Impl{bench.ImplFlat, bench.ImplFlatBatch, bench.ImplFlatCompact}); len(rowsArena) > 0 {
 		fmt.Println("=== Extension: forest-arena engine ===")
 		if err := bench.WriteTable(os.Stdout, "Arena", rowsArena); err != nil {
 			log.Fatal(err)
@@ -427,15 +414,15 @@ func filterSeries(series []bench.Series, impls ...bench.Impl) []bench.Series {
 // with the arena footprints (bytes/node) that motivate the compact
 // layout. Intended for CI trend tracking; numbers are wall-clock and
 // noisy, so nothing here fails on a slow run.
-func runBatchBench(path string, rows int, kernel string) error {
-	rep, err := bench.BatchBench{Rows: rows, Kernel: kernel}.Run()
+func runBatchBench(path string, rows int) error {
+	rep, err := bench.BatchBench{Rows: rows}.Run()
 	if err != nil {
 		return err
 	}
 	if isa := treeexec.DetectedISA(); isa != "" {
 		fmt.Printf("vector ISA: %s\n", isa)
 	} else {
-		fmt.Printf("vector ISA: none (simd kernel runs the portable fallback)\n")
+		fmt.Printf("vector ISA: none\n")
 	}
 	// The Close error matters here: BENCH_batch.json is the CI trend
 	// artifact, and a full disk surfacing only at the final flush used
@@ -513,9 +500,8 @@ func runRobustAudit(path string, rows, auditRows int) error {
 
 // runLadderMarkdown reads a BENCH_batch.json report and prints its
 // per-candidate calibration ladders as one markdown table — the CI job
-// summary's view of every (width, kernel, refill) mode's measured
-// rows/s, winners starred, so losing kernels' trajectories stay
-// visible across PRs.
+// summary's view of every candidate width's measured rows/s, winners
+// starred, so losing widths' trajectories stay visible across PRs.
 func runLadderMarkdown(path string) error {
 	f, err := os.Open(path)
 	if err != nil {

@@ -201,9 +201,10 @@ func buildModel(spec ModelSpec, workers int) (*treeexec.ServedModel, [][]float32
 	if err != nil {
 		return nil, nil, err
 	}
-	// Calibrate the (width, kernel) mode on training rows — the best
-	// stand-in for traffic before any has been served. A warm start
-	// (Calibration below) overwrites this with the persisted mode.
+	// Calibrate the interleave width on training rows — the best
+	// stand-in for traffic before any has been served (a compact engine
+	// times its one walk, at width 1). A warm start (Calibration below)
+	// overwrites this with the persisted width.
 	e.CalibrateInterleaveRows(train.Features, 0)
 	m := treeexec.NewServedModel(spec.Name, e, workers, 0)
 	if spec.Drift {

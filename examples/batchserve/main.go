@@ -1,7 +1,7 @@
 // Command batchserve demonstrates the serving configuration of the
 // forest-arena engine on the registry API: the batch kernel calibrated
 // once at startup, one engine per arena layout (16-byte FLInt and, when
-// the forest fits it, the quantized 8-byte compact SoA) compiled from a
+// the forest fits it, the quantized 8-byte compact arena) compiled from a
 // CAGS-reordered forest, and one ServedModel — engine, Batcher worker
 // pool, traffic reservoir and calibration record as a single unit —
 // registered in a ModelRegistry for the process lifetime. Predictions
@@ -55,24 +55,13 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Measure, once, the arena sizes past which the 2/4/8-way
-	// interleaved walks win on this host — one threshold set per arena
-	// layout, because the compact arena's quantization overhead shifts
-	// its crossovers; engines built afterwards pick their width from
-	// the result.
-	// The SIMD kernel only competes where the host runs it natively;
-	// everywhere else the scalar kernels carry the load and pinned simd
-	// modes fall back to a portable form.
-	if isa := flint.DetectedISA(); isa != "" {
-		fmt.Printf("vector ISA: %s (simd kernel competes in calibration)\n", isa)
-	} else {
-		fmt.Println("vector ISA: none (scalar kernels only)")
-	}
-
+	// Measure, once, the FLInt arena sizes past which the 2/4/8-way
+	// interleaved walks win on this host; FLInt engines built afterwards
+	// pick their width from the result. (The compact arena's one walk
+	// reads no width.)
 	gates := flint.Calibrate(0)
-	fmt.Printf("calibrated interleave gates (bytes): flint x2>=%d x4>=%d x8>=%d | compact x2>=%d x4>=%d x8>=%d\n",
-		gates.Min2, gates.Min4, gates.Min8,
-		gates.CompactMin2, gates.CompactMin4, gates.CompactMin8)
+	fmt.Printf("calibrated interleave gates (bytes): flint x2>=%d x4>=%d x8>=%d\n",
+		gates.Min2, gates.Min4, gates.Min8)
 
 	// Prefer the 8-byte compact arena when the forest fits its
 	// encoding; it halves the cache footprint at identical predictions.
@@ -91,15 +80,13 @@ func main() {
 		float64(engine.ArenaBytes())/float64(engine.ArenaNodes()),
 		engine.PrunedFeatures(), engine.NumFeatures(), engine.Interleave())
 
-	// Sharpen the width — and, on the compact arena, the walk kernel
-	// (branchy, fused, and simd where the ISA runs it) — on this exact
-	// arena using real rows: sampled production traffic walks the
-	// trained branches the host-wide synthetic ladder can only
-	// approximate. Here the training set stands in for a traffic
-	// sample. The winning (width, kernel) pair installs as one atomic
-	// unit.
+	// Time the engine on this exact arena using real rows: sampled
+	// production traffic walks the trained branches the host-wide
+	// synthetic ladder can only approximate. Here the training set
+	// stands in for a traffic sample. A FLInt engine installs the
+	// fastest width; the compact arena times its one walk, at width 1.
 	width := engine.CalibrateInterleaveRows(train.Features, 0)
-	fmt.Printf("row-calibrated mode: x%d interleave, %s kernel\n", width, engine.Kernel())
+	fmt.Printf("row-calibrated mode: x%d interleave, %s walk\n", width, engine.Kernel())
 
 	workers := runtime.GOMAXPROCS(0)
 	// A ServedModel owns the Batcher (reservoir sampling on by default;
@@ -191,7 +178,7 @@ func main() {
 		log.Fatal(err)
 	}
 	flint.SetInterleaveGates(rec.Gates)
-	fmt.Printf("hot swap + warm start: x%d interleave, %s kernel from persisted record, reservoir seeded with %d rows\n",
+	fmt.Printf("hot swap + warm start: x%d interleave, %s walk from persisted record, reservoir seeded with %d rows\n",
 		engine2.Interleave(), engine2.Kernel(), len(rec.Rows))
 
 	// The arena engine agrees with the reference forest row by row,

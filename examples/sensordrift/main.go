@@ -7,11 +7,11 @@
 // later periods through a drift-armed Batcher: the detector compares
 // the live traffic reservoir against the calibration baseline on the
 // engine's quantized split ranks, and when the distribution shifts it
-// recalibrates the serving mode automatically — the closed loop the
-// package doc's "Drift-aware serving" section describes. Accuracy per
-// batch is printed alongside, exposing the model-level drift the
-// detector is reacting to, and a final retrain on recent rows shows the
-// mitigation the recalibration trigger would hand off to.
+// re-times the engine on the drifted traffic automatically — the closed
+// loop the package doc's "Drift-aware serving" section describes.
+// Accuracy per batch is printed alongside, exposing the model-level
+// drift the detector is reacting to, and a final retrain on recent rows
+// shows the mitigation the recalibration trigger would hand off to.
 package main
 
 import (
@@ -69,7 +69,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("trained on batch 1 (%d rows), %d nodes, serving via %v/x%d\n",
+	fmt.Printf("trained on batch 1 (%d rows), %d nodes, serving via %s/x%d\n",
 		cut, forest.NumNodes(), engine.Kernel(), engine.Interleave())
 	fmt.Println("serving later acquisition batches (sensor drift degrades accuracy; PSI distance tracks the shift):")
 	const batches = 4
@@ -89,7 +89,7 @@ func main() {
 		st := pool.CheckDrift()
 		note := ""
 		if st.Triggers > prevTriggers {
-			note = fmt.Sprintf("  -> drift trigger #%d: recalibrated to %v/x%d on sampled traffic (source %q)",
+			note = fmt.Sprintf("  -> drift trigger #%d: re-timed the %s walk (x%d) on sampled traffic (source %q)",
 				st.Triggers, engine.Kernel(), engine.Interleave(), engine.CalibrationSource())
 			prevTriggers = st.Triggers
 		}

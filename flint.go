@@ -44,19 +44,17 @@
 //     calibrated gates; see Calibrate). Best general-purpose serving
 //     engine.
 //
-//   - Compact SoA arena (FlatCompact): each node encoded in 8 bytes,
-//     uint16 key / uint16 feature / packed int32 children. Split values
-//     are reduced — exactly, via per-feature total-order ranking — to
-//     16-bit keys, and each row is quantized by binary search before
-//     the walk. The cut tables are feature-pruned: only the columns the
-//     forest actually splits on are searched (and only the split-on
-//     count is bounded by the encoding, so wide sparse-split inputs
-//     compact fine). Predictions are bit-identical to FlatFLInt. A walk
-//     touches half the AoS arena's bytes, so roughly twice the forest
-//     fits in the same cache; it wins on big ensembles. The engine holds
-//     two encodings of every node (parallel slices for the branchy
-//     kernel, one fused word for the others), so it keeps ~16 bytes per
-//     node resident where ArenaBytes reports the 8 a walk touches.
+//   - Compact arena (FlatCompact): each node encoded in one 8-byte
+//     word, uint16 key / uint16 feature / packed int32 children. Split
+//     values are reduced — exactly, via per-feature total-order ranking
+//     — to 16-bit keys, and each row is quantized by binary search
+//     before the walk. The cut tables are feature-pruned: only the
+//     columns the forest actually splits on are searched (and only the
+//     split-on count is bounded by the encoding, so wide sparse-split
+//     inputs compact fine). Predictions are bit-identical to FlatFLInt.
+//     The engine holds 8 bytes per node, half the AoS arena's 16, and
+//     its one walk touches exactly those (ArenaBytes), so roughly twice
+//     the forest fits in the same cache; it wins on big ensembles.
 //     Forests exceeding the narrow encoding (per-feature distinct
 //     splits, per-tree size, classes, split-on features — probe with
 //     Compactable) gracefully fall back to the FLInt arena.
@@ -67,17 +65,15 @@
 //
 // # Calibrating the interleaved batch kernel
 //
-// On arenas past the cache comfort zone the batch kernel walks 2, 4 or
-// 8 rows with register-resident cursors so the core overlaps their node
-// fetches. Where those crossovers sit depends on the host (cache sizes,
-// load-queue depth) and on the arena layout — the compact arena's
-// quantization overhead and denser packing shift them — so the gate
-// table (InterleaveGates) keeps one threshold set per interleaving
-// layout and engines pick their width from it at construction:
+// On arenas past the cache comfort zone the FLInt arena's batch kernel
+// walks 2, 4 or 8 rows with register-resident cursors so the core
+// overlaps their node fetches. Where those crossovers sit depends on
+// the host (cache sizes, load-queue depth), so the gate table
+// (InterleaveGates) holds measured thresholds and FLInt engines pick
+// their width from it at construction:
 //
-//   - Calibrate(budget) measures a synthetic arena ladder for both the
-//     FLInt and compact layouts once per process and installs per-
-//     variant gates for engines built afterwards.
+//   - Calibrate(budget) measures a synthetic FLInt arena ladder once per
+//     process and installs gates for engines built afterwards.
 //   - engine.CalibrateInterleave(budget) times the engine's own arena,
 //     on rows synthesized from its own split tables — every calibration
 //     input spans the trained comparison range, so the measured walks
@@ -88,93 +84,23 @@
 //     request traffic is at hand (the synthetic rows approximate range,
 //     not distribution).
 //
-// # Kernel selection: the four-kernel family on the compact arena
+// # Two walks: branchy on the AoS arenas, fused on the compact arena
 //
-// The compact arena has four walk kernels producing bit-identical
-// predictions, ordered by how much of the walk they vectorize. The
-// branchy kernel executes one data-dependent branch per cursor per tree
-// level (plus three slice loads per node); on deep trained forests
-// those branches are near 50/50 and the mispredict flushes dominate.
-// The fused kernel loads each node as a single pre-packed 64-bit word
-// (key | feature | children) and computes the child index
-// arithmetically — the same control-to-data-dependency conversion FLInt
-// performs on the comparison, applied to the child select — so a walk
-// mispredicts once per chain (the loop exit) instead of once per level,
-// at the price of a longer serial dependency per step. Its quantizer is
-// a branchless binary search.
-//
-// The two SIMD kernels split the fused walk at its memory boundary. The
-// walk has two phases with opposite vector economics: quantization
-// (binary-search each feature value against its cut table) is lockstep
-// halving with no gathers on its critical path and one cut segment
-// shared by the whole group — it vectorizes cleanly — while the tree
-// walk itself needs one node-word gather per lane per level, and a
-// gather's latency is the latency of its slowest lane. KernelSIMDQuant
-// takes only the clean half: the 8-lane vector quantizer feeds the
-// scalar fused walk, so it inherits the fused walk's gather-free
-// inner loop and wins wherever quantization (cost scaling with
-// features) is a large share of the row. KernelSIMD vectorizes both
-// phases: 8 cursors' node words and 8 quantized keys per gather, the
-// branch-free child select in vector registers. At width 16 it walks
-// two independent 8-lane groups software-pipelined — group A's gathers
-// issue, then group B's field-extract/compare/select executes while
-// A's loads are in flight, and vice versa — so every gather round-trip
-// overlaps a full level of independent ALU work, and a calibrated
-// lane-compaction threshold returns the walk to the driver when
-// occupancy drops, which retires finished lanes' votes and refills them
-// from the pending (tree, row) queue instead of walking a nearly-empty
-// group to its deepest lane. Which kernel wins is a host and workload
-// property, so the kernel is a calibrated dimension exactly like the
-// interleave width:
-//
-//   - At construction, engines pick the kernel from the gate table's
-//     CompactFusedMin/CompactSIMDQuantMin/CompactSIMDMin byte
-//     thresholds (zero — every older table — keeps the kernel off;
-//     the default table sets CompactFusedMin to 1, so an uncalibrated
-//     compact engine runs fused; Calibrate measures them, and more
-//     aggressive kernels' gates outrank less aggressive ones where both
-//     apply; CompactSIMD16Min gates the dual-group width within the
-//     SIMD kernel).
-//   - Every calibration pass (CalibrateInterleave,
-//     CalibrateInterleaveRows, Batcher.Recalibrate) times each
-//     row-group width under the branchy and SIMD kernels, the fused and
-//     SIMD-quant kernels once each (at width 1: they read no width),
-//     and the width-16 dual-group walk with lane compaction off and on,
-//     and installs the winning (width, kernel, compaction) triple as one
-//     atomic unit, so recalibrating under live Batcher traffic can never
-//     mix a width measured under one kernel with another.
-//   - engine.SetKernel forces and pins a kernel (subsequent calibration
-//     then times widths under it alone) — the A/B switch behind
-//     flintbench's -kernel flag; engine.Kernel reports the current one.
-//   - Persistence round-trips the triple: SaveCalibration records the
-//     kernel and compaction threshold next to the width, LoadCalibration
-//     restores them (records written before the kernel axis existed
-//     load as branchy — the only kernel those deployments ever ran).
-//
-// The kernel governs batch blocks. The branchy and SIMD kernels walk
-// row groups of the installed width. The fused and SIMD-quant kernels
-// quantize a block in chunks of 16 rows and walk all of a chunk's
-// (tree, row) pairs with four cursors, dealt tree-major (every row
-// through tree 0, then tree 1, ...): a cursor that reaches its leaf
-// votes for its row and takes the next pair, so four node loads stay in
-// flight until the pairs run out, where a row group stalls each time
-// one of its rows leafs. A lone row (Predict, PredictEncoded,
-// PredictPrecoded), and a one-row chunk, walks its own trees four at a
-// time on the fused step under every kernel: the four cursors share the
-// row's ranks. Answers stay bit-identical either way.
-//
-// ISA gating and the portable fallback: DetectedISA reports the vector
-// instruction set the SIMD kernels run natively here ("avx2", or ""
-// where there is none — non-amd64 builds, the noasm build tag, or
-// amd64 hosts without AVX2). Calibration only competes the SIMD
-// kernels where DetectedISA is non-empty; elsewhere it never
-// volunteers them, and a persisted "simd" or "simd-quant" calibration
-// record loads as branchy (a width-16 record narrows to 8) with
-// CalibrationSource reporting "persisted-degraded". Pinning KernelSIMD
-// or KernelSIMDQuant by hand still works on every host — they run
-// portable lane-parallel Go forms with identical predictions (the
-// differential-test contract), they just stop being fast — so A/B
-// tooling behaves the same everywhere.
+// Each arena has one walk, and FlatEngine.Kernel names it. The AoS
+// arenas compare and branch per node ("branchy"), one row or one
+// interleaved row group at a time. The compact arena loads each node as
+// one 64-bit word (key | feature | children) and selects the child
+// arithmetically ("fused") — the control-to-data conversion FLInt makes
+// on the comparison, applied to the child select — so a walk
+// mispredicts once per chain (the loop exit) instead of once per level.
+// Its batch blocks are quantized in chunks of 16 rows, and four cursors
+// walk all of a chunk's (tree, row) pairs, dealt tree-major: a cursor
+// that reaches its leaf votes for its row and takes the next pair, so
+// four node loads stay in flight until the pairs run out. A lone row
+// walks four of its own trees at once. The compact walk reads no
+// width, so a compact engine always reports width 1, and calibrating it
+// times that one walk. Answers are bit-identical across arenas and
+// widths.
 //
 // # The adaptive serving lifecycle: reservoir → recalibrate → persist
 //
@@ -209,8 +135,8 @@
 // histograms over the engine's own quantized split ranks, scored with a
 // population-stability-index distance — and when the distance crosses
 // the configured threshold it runs the Recalibrate path on its own,
-// installing the re-timed (width, kernel) mode through the same atomic
-// gate every manual recalibration uses:
+// installing the re-timed width through the same atomic store every
+// manual recalibration uses:
 //
 //	b := flint.NewBatcher(engine, 0)
 //	defer b.Close()
@@ -227,7 +153,7 @@
 // cooldown suppresses trigger storms while a shift is still settling
 // (suppressed checks are counted, not lost). Batcher.SaveCalibration
 // persists the armed DriftConfig inside the calibration record, so the
-// next deployment restores detection together with the width, kernel and
+// next deployment restores detection together with the width and
 // seeded reservoir. See examples/sensordrift for the loop closing on the
 // gas workload's drifting batches.
 //
@@ -274,8 +200,8 @@
 //
 // FlatEngine.DecisionPath traces the exact per-tree comparison sequence
 // behind a prediction — node, feature, threshold (and its quantized rank
-// on the compact arena), direction — bit-consistent with Predict across
-// every kernel and interleave width. On top of it, the robustness audit
+// on the compact arena), direction — bit-consistent with Predict on
+// every arena and interleave width. On top of it, the robustness audit
 // attacks rows the way an adversary would (greedy minimal threshold
 // crossings in FLInt total order): RobustnessAudit reports the flip rate
 // as a function of perturbation budget, AdversarialRow/AdversarialRows
@@ -487,7 +413,7 @@ type FlatEngine = treeexec.FlatForestEngine
 
 // FlatVariant selects the comparison kernel a FlatEngine is compiled
 // for (FLInt, hardware float, total-order precoded, or the quantized
-// compact SoA arena).
+// compact arena).
 type FlatVariant = treeexec.FlatVariant
 
 // The arena comparison variants.
@@ -499,55 +425,24 @@ const (
 )
 
 // InterleaveGates are the arena-size thresholds (bytes) from which the
-// batch kernel walks 2, 4 and 8 rows at once, one threshold set per
-// interleaving arena layout (the 16-byte AoS arenas read Min2/Min4/
-// Min8, the compact SoA arena reads CompactMin2/CompactMin4/
-// CompactMin8); see Calibrate.
+// FLInt arena's batch kernel walks 2, 4 and 8 rows at once (Min2/Min4/
+// Min8); see Calibrate.
 type InterleaveGates = treeexec.InterleaveGates
 
-// Kernel selects how the compact arena's batch kernel resolves each
-// node's child: KernelBranchy compares and branches per level,
-// KernelFused loads the node as one pre-packed word and computes the
-// child branch-free, KernelSIMDQuant vectorizes only the quantizer (the
-// gather-free half of the walk) and runs the fused walk scalar, and
-// KernelSIMD runs the branch-free step 8 lanes per instruction in
-// vector registers where the host ISA allows — two software-pipelined
-// 8-lane groups with lane compaction at interleave width 16 (see the
-// package doc's kernel-selection section). All produce bit-identical
-// predictions; calibration picks the fastest alongside the interleave
-// width, and FlatEngine.SetKernel pins a choice for A/B measurement.
-type Kernel = treeexec.Kernel
-
-// The compact walk kernels, plus the KernelAuto sentinel that clears a
-// SetKernel pin (handing the choice back to calibration).
-const (
-	KernelBranchy   = treeexec.KernelBranchy
-	KernelFused     = treeexec.KernelFused
-	KernelSIMDQuant = treeexec.KernelSIMDQuant
-	KernelSIMD      = treeexec.KernelSIMD
-	KernelAuto      = treeexec.KernelAuto
-)
-
-// ParseKernel maps a kernel name ("branchy", "fused", "simd-quant",
-// "simd", or the legacy empty string meaning branchy) to its constant.
-func ParseKernel(name string) (Kernel, error) { return treeexec.ParseKernel(name) }
-
-// DetectedISA reports the vector instruction set the SIMD kernels
-// execute natively on this host ("avx2"), or "" where only their
-// portable fallbacks are available and calibration therefore never
-// selects them.
+// DetectedISA reports the host's vector instruction set ("avx2" on
+// amd64 hosts whose CPU and OS support AVX2, "" otherwise). No walk
+// depends on it; benchmark reports print it to describe the host.
 func DetectedISA() string { return treeexec.DetectedISA() }
 
-// Compactable reports whether a forest fits the compact SoA arena's
+// Compactable reports whether a forest fits the compact arena's
 // 8-byte node encoding; when it does not, reason names the limit
 // exceeded and NewFlatEngineVariant(f, FlatCompact) will fall back to
 // the 32-bit FLInt arena.
 func Compactable(f *Forest) (ok bool, reason string) { return treeexec.Compactable(f) }
 
-// Calibrate measures, on this host and for each interleaving arena
-// layout, the arena sizes past which the batch kernel's 2/4/8-way
-// interleaved walks win, and installs the per-variant thresholds for
-// engines constructed afterwards. Call it once at process start
+// Calibrate measures, on this host, the FLInt arena sizes past which
+// the batch kernel's 2/4/8-way interleaved walks win, and installs the
+// thresholds for engines constructed afterwards. Call it once at process start
 // (budget <= 0 selects ~200ms). Individual engines can self-tune
 // instead via FlatEngine.CalibrateInterleave, or — most accurately —
 // on sampled production rows via FlatEngine.CalibrateInterleaveRows.
@@ -702,7 +597,7 @@ type DriftStats = treeexec.DriftStats
 // FlatEngine.DecisionPath: the tree and arena node, the feature and
 // threshold compared (with the compact arena's quantized rank), and the
 // direction taken. The trace is bit-consistent with Predict on every
-// kernel and interleave width.
+// arena and interleave width.
 type PathStep = treeexec.PathStep
 
 // AttackConfig parameterizes the decision-path attack (iteration cap,
@@ -759,7 +654,7 @@ type CodegenOptions = codegen.Options
 // that exceeds the compact encoding; its Reason names the limit.
 type CodegenNotCompactableError = codegen.NotCompactableError
 
-// CompactModel is the compact fused arena as an exported value — the
+// CompactModel is the compact arena as an exported value — the
 // tables ModeTable emits and FlatEngine.ExportCompact returns.
 type CompactModel = treeexec.CompactModel
 

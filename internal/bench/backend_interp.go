@@ -159,30 +159,16 @@ func (b *InterpBackend) Measure(w *Workload) (map[Impl]float64, error) {
 			sink += batchOut[0]
 			return len(rows)
 		})
-		// The quantized SoA arena through the same serial blocked
-		// kernel: the layout/footprint effect against ImplFlatBatch.
-		// Forests beyond the compact limits fall back inside NewFlat
-		// and are skipped here, not failed.
+		// The quantized compact arena through the same serial blocked
+		// path, on its one walk: the layout/footprint effect against
+		// ImplFlatBatch. Forests beyond the compact limits fall back
+		// inside NewFlat and are skipped here, not failed.
 		compact, err := treeexec.NewFlat(w.CAGSForest, treeexec.FlatCompact)
 		if err != nil {
 			return nil, err
 		}
 		if compact.Variant() == treeexec.FlatCompact {
-			// Pin the kernel for both compact cells: construction-time
-			// gates may have installed fused (CompactFusedMin), which
-			// would turn this A/B into fused-vs-fused.
-			compact.SetKernel(treeexec.KernelBranchy)
 			out[ImplFlatCompact] = b.timeInference(func() int {
-				batchOut = compact.PredictBatch(rows, batchOut, 1, 0)
-				sink += batchOut[0]
-				return len(rows)
-			})
-			// The same arena through the branch-free fused-node kernel:
-			// the mispredict-vs-dependency trade against ImplFlatCompact,
-			// isolated on the serial blocked path. SetKernel pins it so
-			// nothing recalibrates the kernel away mid-measurement.
-			compact.SetKernel(treeexec.KernelFused)
-			out[ImplFlatFused] = b.timeInference(func() int {
 				batchOut = compact.PredictBatch(rows, batchOut, 1, 0)
 				sink += batchOut[0]
 				return len(rows)

@@ -31,11 +31,6 @@ type BatchBench struct {
 	MinDuration time.Duration
 	// Seed drives dataset synthesis and training; 0 selects 1.
 	Seed int64
-	// Kernel forces the compact walk kernel for A/B runs: "branchy",
-	// "fused", "simd-quant" or "simd" pins it (the interleave width is
-	// then calibrated under that kernel alone), "" or "auto" lets
-	// calibration pick the (width, kernel) pair.
-	Kernel string
 }
 
 // BatchBenchRow is one measured (workload, variant) cell.
@@ -50,15 +45,13 @@ type BatchBenchRow struct {
 	BytesPerNode float64 `json:"bytes_per_node,omitempty"`
 	// Interleave is the batch kernel's cursor count (arena variants).
 	Interleave int `json:"interleave,omitempty"`
-	// Kernel is the walk kernel the row was measured with ("branchy",
-	// "fused", "simd-quant" or "simd") — chosen by calibration, or pinned
-	// by an A/B run's BatchBench.Kernel. Arena variants only.
+	// Kernel names the arena's walk ("branchy" on the FLInt arena,
+	// "fused" on the compact arena). Arena variants only.
 	Kernel string `json:"kernel,omitempty"`
-	// ISA is the vector instruction set the SIMD kernel runs natively on
-	// the measuring host (treeexec.DetectedISA, e.g. "avx2"; empty where
-	// only the portable fallback exists). Recorded on every arena row —
-	// not just simd ones — so cross-host rows/s trajectories in the CI
-	// trend history stay interpretable. Arena variants only.
+	// ISA is the measuring host's vector instruction set
+	// (treeexec.DetectedISA, e.g. "avx2"; empty where none is probed),
+	// recorded so cross-host rows/s trajectories in the CI trend history
+	// stay interpretable. Arena variants only.
 	ISA string `json:"isa,omitempty"`
 	// PrunedFeatures is the number of features the forest actually
 	// splits on — the compact arena's per-row quantization cost (one
@@ -74,10 +67,10 @@ type BatchBenchRow struct {
 	// evidence. Arena variants only.
 	CalibSource string `json:"calib_source,omitempty"`
 	// Ladder is the full per-candidate calibration timing table — rows/s
-	// for every (width, kernel, refill) mode the ladder measured, winner
-	// flagged — so losing kernels' trajectories stay visible across PRs
-	// instead of disappearing behind the winner's gate. Arena variants
-	// only; absent on rows recorded before it existed.
+	// for every width the ladder measured, winner flagged — so losing
+	// widths' trajectories stay visible across PRs instead of
+	// disappearing behind the winner's gate. Arena variants only; absent
+	// on rows recorded before it existed.
 	Ladder []treeexec.ModeTiming `json:"ladder,omitempty"`
 }
 
@@ -87,9 +80,9 @@ type BatchBenchReport struct {
 		Rows, Trees, Depth, Workers int
 		GOMAXPROCS                  int
 	} `json:"config"`
-	// Gates is the host-wide per-variant interleave gate table measured
-	// at the start of the run (each engine still self-calibrates on its
-	// own arena before timing; the table contextualizes the recorded
+	// Gates is the host-wide FLInt interleave gate table measured at the
+	// start of the run (each engine still self-calibrates on its own
+	// arena before timing; the table contextualizes the recorded
 	// Interleave widths).
 	Gates   treeexec.InterleaveGates `json:"gates"`
 	Results []BatchBenchRow          `json:"results"`
@@ -146,23 +139,11 @@ func (c BatchBench) timeRows(fn func() (int, error)) (float64, error) {
 // Run trains one forest per workload and measures batch throughput for
 // the per-tree FLInt baseline (per-row goroutine batch) and the flat
 // and compact arenas (persistent Batcher). Each arena engine self-
-// calibrates its interleave width — and, on the compact arena, its
-// walk kernel, unless c.Kernel pins one — on its own arena before
-// timing, so the recorded Interleave/Kernel fields reflect this host,
-// not the static default gates.
+// calibrates on its own arena before timing — the FLInt arena its
+// interleave width, the compact arena its one walk — so the recorded
+// Interleave field reflects this host, not the static default gates.
 func (c BatchBench) Run() (*BatchBenchReport, error) {
 	c = c.withDefaults()
-	forceKernel := treeexec.KernelBranchy
-	forced := false
-	switch c.Kernel {
-	case "", "auto":
-	default:
-		k, err := treeexec.ParseKernel(c.Kernel)
-		if err != nil {
-			return nil, err
-		}
-		forceKernel, forced = k, true
-	}
 	rep := &BatchBenchReport{}
 	rep.Config.Rows = c.Rows
 	rep.Config.Trees = c.Trees
@@ -217,16 +198,10 @@ func (c BatchBench) Run() (*BatchBenchReport, error) {
 			if err != nil {
 				return nil, err
 			}
-			if forced {
-				// Pin before calibrating: the width is then timed under
-				// the forced kernel, which is the pair an A/B run wants.
-				e.SetKernel(forceKernel)
-			}
-			// 4x the per-variant budget: the compact slate is up to 18
-			// candidates (four kernels x four widths plus the width-16
-			// walk's compaction pair), and the report's whole point is
-			// the full ladder — a starved budget drops exactly the
-			// trailing (newest) candidates from the record.
+			// 4x the per-variant budget: the FLInt slate is four widths,
+			// and the report's whole point is the full ladder — a starved
+			// budget drops exactly the trailing (widest) candidates from
+			// the record.
 			_, ladder := e.CalibrateInterleaveRowsLadder(rows, 4*c.MinDuration)
 			pool := treeexec.NewBatcher(e, c.Workers, 0)
 			out := make([]int32, len(rows))
@@ -244,7 +219,7 @@ func (c BatchBench) Run() (*BatchBenchReport, error) {
 				Dataset: ds, Variant: e.Name(), RowsPerSec: rps,
 				ArenaNodes: nodes, ArenaBytes: bytes,
 				Interleave:  e.Interleave(),
-				Kernel:      e.Kernel().String(),
+				Kernel:      e.Kernel(),
 				ISA:         treeexec.DetectedISA(),
 				CalibSource: e.CalibrationSource(),
 				Ladder:      ladder,

@@ -68,6 +68,11 @@ func TestBatchBenchRun(t *testing.T) {
 		if flat.PrunedFeatures != 0 {
 			t.Errorf("%s: flat row carries pruned features %d", ds, flat.PrunedFeatures)
 		}
+		for _, r := range []BatchBenchRow{flat, compact} {
+			if r.ISA != treeexec.DetectedISA() {
+				t.Errorf("%s/%s: isa = %q, want %q", ds, r.Variant, r.ISA, treeexec.DetectedISA())
+			}
+		}
 		// Every arena row records the kernel it was measured with; the
 		// AoS arena has no fused form, so its row is always branchy.
 		if flat.Kernel != "branchy" {
@@ -100,14 +105,13 @@ func TestBatchBenchRun(t *testing.T) {
 			t.Errorf("%s: per-tree baseline row carries a ladder", ds)
 		}
 	}
-	// The report carries the measured per-variant gate table (monotone
-	// per set, as Calibrate guarantees).
+	// The report carries the measured gate table (monotone, as
+	// Calibrate guarantees).
 	g := rep.Gates
 	if g == (treeexec.InterleaveGates{}) {
 		t.Error("report gates are zero-valued")
 	}
-	if g.Min2 > g.Min4 || g.Min4 > g.Min8 ||
-		g.CompactMin2 > g.CompactMin4 || g.CompactMin4 > g.CompactMin8 {
+	if g.Min2 > g.Min4 || g.Min4 > g.Min8 {
 		t.Errorf("report gates not monotone: %+v", g)
 	}
 
@@ -121,50 +125,6 @@ func TestBatchBenchRun(t *testing.T) {
 	}
 	if len(back.Results) != len(rep.Results) {
 		t.Errorf("round trip lost rows: %d vs %d", len(back.Results), len(rep.Results))
-	}
-}
-
-// TestBatchBenchForcedKernel pins the A/B switch: a forced kernel lands
-// in every compact row of the report (the AoS rows stay branchy — they
-// have no fused form), and an unknown kernel name errors out instead of
-// silently measuring the default.
-func TestBatchBenchForcedKernel(t *testing.T) {
-	for _, kernel := range []string{"branchy", "fused", "simd-quant", "simd"} {
-		rep, err := BatchBench{
-			Rows: 300, Trees: 4, Depth: 6, Workers: 1,
-			MinDuration: time.Millisecond, Kernel: kernel,
-		}.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range rep.Results {
-			switch r.Variant {
-			case "flat-compact":
-				if r.Kernel != kernel {
-					t.Errorf("%s/%s: kernel = %q, want forced %q", r.Dataset, r.Variant, r.Kernel, kernel)
-				}
-				if r.ISA != treeexec.DetectedISA() {
-					t.Errorf("%s/%s: isa = %q, want %q", r.Dataset, r.Variant, r.ISA, treeexec.DetectedISA())
-				}
-				// A pinned kernel restricts the whole ladder to that
-				// kernel's candidates: the width is timed under the pair
-				// an A/B run asked for.
-				for _, mt := range r.Ladder {
-					if mt.Kernel != kernel {
-						t.Errorf("%s/%s: forced %q but ladder times %q", r.Dataset, r.Variant, kernel, mt.Kernel)
-					}
-				}
-			case "flat-flint":
-				if r.Kernel != "branchy" {
-					t.Errorf("%s/%s: kernel = %q, want branchy", r.Dataset, r.Variant, r.Kernel)
-				}
-			}
-		}
-	}
-	if _, err := (BatchBench{
-		Rows: 300, Trees: 4, Depth: 6, MinDuration: time.Millisecond, Kernel: "turbo",
-	}).Run(); err == nil {
-		t.Error("unknown kernel name accepted")
 	}
 }
 

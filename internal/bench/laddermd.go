@@ -7,10 +7,10 @@ import (
 
 // WriteLadderMarkdown renders every calibration ladder in a
 // BENCH_batch.json report as one GitHub-flavored markdown table — the
-// per-candidate (width, kernel, refill) timings next to the winner each
-// engine installed — for the CI job summary, where losing kernels'
-// rows/s stay visible beside the sparkline trends instead of vanishing
-// behind the winner's gate. Reports whose rows carry no ladders (older
+// per-candidate (width, walk) timings next to the winner each engine
+// installed — for the CI job summary, where losing widths' rows/s stay
+// visible beside the sparkline trends instead of vanishing behind the
+// winner's gate. Reports whose rows carry no ladders (older
 // artifacts, per-tree baseline rows) produce a one-line note instead of
 // an empty table.
 func WriteLadderMarkdown(w io.Writer, rep *BatchBenchReport) error {
@@ -34,9 +34,6 @@ func WriteLadderMarkdown(w io.Writer, rep *BatchBenchReport) error {
 	for _, r := range rep.Results {
 		for _, mt := range r.Ladder {
 			mode := fmt.Sprintf("x%d %s", mt.Width, mt.Kernel)
-			if mt.Refill != 0 {
-				mode = fmt.Sprintf("%s refill=%d", mode, mt.Refill)
-			}
 			mark := ""
 			if mt.Winner {
 				mark = "★"

@@ -41,8 +41,7 @@ const (
 	ImplPrecoded    Impl = "precoded"     // key-space precoding extension
 	ImplFlat        Impl = "flat-flint"   // single-arena forest, FLInt compares
 	ImplFlatBatch   Impl = "flat-batch"   // arena + row-blocked batch kernel
-	ImplFlatCompact Impl = "flat-compact" // quantized 8-byte SoA arena, blocked kernel
-	ImplFlatFused   Impl = "flat-fused"   // compact arena, branch-free fused-node kernel
+	ImplFlatCompact Impl = "flat-compact" // quantized 8-byte compact arena, fused lane walk
 	ImplTableC      Impl = "table-c"      // codegen ModeTable: compact arena as compiled C
 
 )

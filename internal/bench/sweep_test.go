@@ -124,10 +124,10 @@ func TestRunSweepInterp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 2 datasets x 2 tree counts x 2 depths x 10 impls (the 6 per-tree
-	// engines plus the flat-arena single-row, blocked-batch,
-	// compact-arena and fused-kernel entries).
-	if want := 2 * 2 * 2 * 10; len(res.Cells) != want {
+	// 2 datasets x 2 tree counts x 2 depths x 9 impls (the 6 per-tree
+	// engines plus the flat-arena single-row, blocked-batch and
+	// compact-arena entries).
+	if want := 2 * 2 * 2 * 9; len(res.Cells) != want {
 		t.Fatalf("got %d cells, want %d", len(res.Cells), want)
 	}
 	for _, c := range res.Cells {

@@ -136,8 +136,7 @@ func TestReadBatchBenchJSONRoundTrip(t *testing.T) {
 		Dataset: "gas", Variant: "flat-compact", RowsPerSec: 12345,
 		ArenaNodes: 10, ArenaBytes: 160, PrunedFeatures: 37, NumFeatures: 128,
 		Ladder: []treeexec.ModeTiming{
-			{Width: 8, Kernel: "fused", RowsPerSec: 12345, Winner: true},
-			{Width: 16, Kernel: "simd", Refill: 6, RowsPerSec: 9000},
+			{Width: 1, Kernel: "fused", RowsPerSec: 12345, Winner: true},
 		},
 	})
 	rep.Config.Rows = 600

@@ -15,7 +15,7 @@
 // adversarial row sets that serve as principled worst-case benchmark
 // workloads: every row walks to the far side of some threshold it was
 // nearest to, the traffic shape branch predictors and calibrated
-// (width, kernel) modes handle worst.
+// interleave widths handle worst.
 //
 // The greedy path-guided search follows the random-forest-attack
 // construction: repeatedly flip the cheapest unvisited decision on the

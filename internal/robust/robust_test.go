@@ -161,9 +161,9 @@ func TestAuditCurve(t *testing.T) {
 // TestAdversarialRowsServeBitConsistently generates the worst-case
 // workload and pins the property the bench family depends on: rows
 // sitting exactly on (or one float past) thresholds are classified
-// identically by every kernel at every width — tie handling under
-// attack is where a quantization or comparison bug would surface
-// first.
+// identically by the compact arena's batch walk and the FLInt arena —
+// tie handling under attack is where a quantization or comparison bug
+// would surface first.
 func TestAdversarialRowsServeBitConsistently(t *testing.T) {
 	e, f, d := trainedEngine(t, "magic", 8, 9, treeexec.FlatCompact)
 	if e.Variant() != treeexec.FlatCompact {
@@ -181,22 +181,10 @@ func TestAdversarialRowsServeBitConsistently(t *testing.T) {
 	for i, x := range adv {
 		want[i] = ref.Predict(x)
 	}
-	out := make([]int32, len(adv))
-	for _, k := range []treeexec.Kernel{treeexec.KernelBranchy, treeexec.KernelFused, treeexec.KernelSIMDQuant, treeexec.KernelSIMD} {
-		e.SetKernel(k)
-		widths := []int{1, 2, 4, 8}
-		if k == treeexec.KernelSIMD {
-			// The dual-group streaming walk exists only under simd.
-			widths = append(widths, 16)
-		}
-		for _, width := range widths {
-			e.SetInterleave(width)
-			e.PredictBatch(adv, out, 2, 16)
-			for i := range adv {
-				if out[i] != want[i] {
-					t.Fatalf("kernel %v width %d: adversarial row %d got %d want %d", k, width, i, out[i], want[i])
-				}
-			}
+	out := e.PredictBatch(adv, nil, 2, 16)
+	for i := range adv {
+		if out[i] != want[i] {
+			t.Fatalf("adversarial row %d: batch got %d want %d", i, out[i], want[i])
 		}
 	}
 }

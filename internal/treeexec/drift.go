@@ -12,16 +12,15 @@ import (
 )
 
 // Drift-triggered recalibration closes the loop the adaptive serving
-// runtime left manual: the (width, kernel) mode a Batcher serves with
+// runtime left manual: the interleave width a Batcher serves with
 // was timed on one traffic distribution, and when traffic moves the
 // winner can move with it. The detector compares the distribution the
 // engine was last calibrated on against the live reservoir — both
 // reduced to per-feature histograms over the engine's own quantized
 // rank space, the resolution at which a distribution shift can change
 // walk shape at all — and when the population-stability distance
-// crosses a threshold it re-times the mode on the drifted sample and
-// installs the winner through the existing atomic (width, kernel)
-// store.
+// crosses a threshold it re-times the width on the drifted sample and
+// installs the winner through the existing atomic width store.
 //
 // The serving path stays at zero allocations per op: Predict only
 // compares the reservoir's row counter against the next check cadence
@@ -33,7 +32,7 @@ import (
 // of each field selects its default, so DriftConfig{} is a sensible
 // starting configuration. It is JSON-encodable and rides
 // CalibrationRecord (SaveCalibration on a Batcher), so a redeployment
-// restores the same detection policy alongside gates, mode and sample.
+// restores the same detection policy alongside gates, width and sample.
 type DriftConfig struct {
 	// CheckEvery is the served-row cadence: a distance check becomes due
 	// each time this many further rows have been observed. Default 4096.
@@ -126,8 +125,8 @@ type DriftStats struct {
 	Threshold    float64   // resolved trigger threshold
 	Distance     float64   // PSI at the last completed comparison
 	Checks       uint64    // comparisons completed (including baseline adoption)
-	Triggers     uint64    // triggered recalibration passes finished (their mode installed)
-	Starved      uint64    // of Triggers, passes that timed no candidate and kept the incumbent mode
+	Triggers     uint64    // triggered recalibration passes finished (their width installed)
+	Starved      uint64    // of Triggers, passes that timed no candidate and kept the incumbent width
 	Suppressed   uint64    // over-threshold checks swallowed by the cooldown
 	BaselineRows int       // rows behind the current baseline histogram (0: none yet)
 	LastCheck    time.Time // wall time of the last check (zero: none yet)
@@ -178,7 +177,7 @@ func newDriftQuantizer(e *FlatForestEngine, bins int) *driftQuantizer {
 // histogram counts rows into a flattened per-feature bin vector
 // (feature blocks concatenated in q.features order). A value's bin is
 // the number of edges at or below its total-order key — the same
-// "rank against a sorted cut segment" the compact kernels quantize by.
+// "rank against a sorted cut segment" the compact walk quantizes by.
 func (q *driftQuantizer) histogram(rows [][]float32) []float64 {
 	h := make([]float64, q.cells)
 	off := 0
@@ -357,9 +356,9 @@ func (d *driftDetector) check(b *Batcher) {
 	d.lastTrigger = now // starts the cooldown, so a concurrent check cannot fire too
 	d.mu.Unlock()
 
-	// The install is the existing atomic (width, kernel) mode store, so
-	// Batcher workers racing it finish their block at the old mode. The
-	// pass is counted only once it has installed its mode, and an empty
+	// The install is the existing atomic width store, so Batcher
+	// workers racing it finish their block at the old width. The pass
+	// is counted only once it has installed its width, and an empty
 	// ladder — a budget that ran out before any candidate was timed —
 	// is counted as starved rather than as a recalibration with evidence.
 	_, ladder := b.e.CalibrateInterleaveRowsLadder(rows, d.cfg.Budget)

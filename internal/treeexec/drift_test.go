@@ -143,10 +143,8 @@ func TestDriftTriggerUnderConcurrentTraffic(t *testing.T) {
 		t.Errorf("triggered recalibration (%d passes, %d starved) left calibration source %q, want %q",
 			st.Triggers, st.Starved, src, want)
 	}
-	switch e.Interleave() {
-	case 1, 2, 4, 8, 16:
-	default:
-		t.Errorf("installed width %d is not a supported width", e.Interleave())
+	if e.Interleave() != 1 {
+		t.Errorf("compact engine installed width %d, want 1", e.Interleave())
 	}
 	// The triggering sample became the new baseline, so the measured
 	// drift against continued drifted traffic collapses.
@@ -333,6 +331,30 @@ func TestDriftStarvedPassIsCounted(t *testing.T) {
 	}
 	if src := e.CalibrationSource(); src != "default" {
 		t.Fatalf("starved pass set calibration source %q, want \"default\"", src)
+	}
+}
+
+// TestDriftTriggerDefaultBudgetGathersEvidence pins that a triggered
+// pass on a compact engine, at the default DriftConfig budget, times
+// the calibration slate and installs its result: the trigger counts,
+// nothing starves, and the source becomes the drifted rows.
+func TestDriftTriggerDefaultBudgetGathersEvidence(t *testing.T) {
+	f, d := trainedForest(t, "magic", 7, 6)
+	e, err := NewFlat(f, FlatCompact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBatcherSampled(e, 1, 16, 128, 1)
+	defer b.Close()
+	if err := b.EnableDriftDetection(DriftConfig{Threshold: 0.2, MinRows: 16}, d.Features); err != nil {
+		t.Fatal(err)
+	}
+	b.Predict(driftedRows(d.Features), make([]int32, len(d.Features)))
+	if st := b.CheckDrift(); st.Triggers != 1 || st.Starved != 0 {
+		t.Fatalf("default-budget pass: %d triggers, %d starved; want 1 and 0", st.Triggers, st.Starved)
+	}
+	if src := e.CalibrationSource(); src != "rows" {
+		t.Errorf("triggered pass left calibration source %q, want \"rows\"", src)
 	}
 }
 

@@ -2,9 +2,9 @@ package treeexec
 
 import "fmt"
 
-// CompactModel is the compact fused arena as an emittable value: the
-// exact tables the branchy/fused/SIMD kernels walk (see flat_compact.go
-// for the representation and the rank-quantization proof), detached from
+// CompactModel is the compact arena as an emittable value: the exact
+// tables its walk reads, 8 bytes per node (see flat_compact.go for the
+// representation and the rank-quantization proof), detached from
 // the engine so code generators and serializers consume the *same* build
 // product the interpreter executes instead of re-deriving it from
 // rf.Forest. An emitter that reproduces the three steps below over these

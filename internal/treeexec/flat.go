@@ -30,14 +30,12 @@ const (
 	// extension).
 	FlatPrecoded
 	// FlatCompact stores the forest as the quantized arena: each node
-	// encoded in 8 bytes (uint16 key, uint16 feature, packed int32
-	// children), with split values reduced to exact per-feature
-	// total-order ranks (see flat_compact.go). The engine holds every
-	// node twice — as parallel slices for the branchy kernel and as one
-	// fused word for the others — so it keeps ~16 bytes per node
-	// resident, though one walk touches only 8. Forests exceeding the
-	// narrow encoding's limits fall back to the FlatFLInt arena; probe
-	// with Compactable.
+	// encoded in one 8-byte word (uint16 key, uint16 feature, packed
+	// int32 children), with split values reduced to exact per-feature
+	// total-order ranks (see flat_compact.go). The engine holds those
+	// 8 bytes per node, which is what its one walk touches. Forests
+	// exceeding the narrow encoding's limits fall back to the FlatFLInt
+	// arena; probe with Compactable.
 	FlatCompact
 )
 
@@ -70,34 +68,29 @@ func (v FlatVariant) String() string {
 // keeps its hot-path-preorder locality inside the arena.
 //
 // The engine is immutable after construction apart from the interleave
-// width knob (SetInterleave/CalibrateInterleave, to be set before
-// serving starts) and safe for concurrent use. Single rows go through
-// Predict/PredictEncoded/PredictPrecoded; many rows should go through
-// PredictBatch or a persistent Batcher: the rows of a block run
-// back-to-back over the arena with per-worker scratch, and on arenas
-// past the cache comfort zone the FLInt arena and the compact branchy
-// and SIMD kernels walk rows in interleaved groups of 2, 4 or 8
-// register-resident cursors so the core overlaps their node fetches
-// (see flat_interleave.go for the runtime-calibrated gates). The
-// compact fused and SIMD-quant kernels instead deal each 16-row chunk's
-// (tree, row) pairs to four lanes that are refilled as they leaf, and a
-// lone compact row walks four of its trees at once under every kernel,
-// so four node loads stay in flight either way (flat_fused.go).
+// width knob (SetInterleave/CalibrateInterleave) and safe for concurrent
+// use. Single rows go through Predict/PredictEncoded/PredictPrecoded;
+// many rows should go through PredictBatch or a persistent Batcher: the
+// rows of a block run back-to-back over the arena with per-worker
+// scratch. On arenas past the cache comfort zone the FLInt arena walks
+// rows in interleaved groups of 2, 4 or 8 register-resident cursors so
+// the core overlaps their node fetches (see flat_interleave.go for the
+// runtime-calibrated gates). The compact arena instead deals each
+// 16-row chunk's (tree, row) pairs to four lanes that are refilled as
+// they leaf, and a lone compact row walks four of its trees at once, so
+// four node loads stay in flight either way (flat_fused.go).
 type FlatForestEngine struct {
 	arena   []node  // inner nodes of all trees, contiguous (AoS variants)
 	roots   []int32 // per-tree entry: arena index (tree base for compact), or ^class for leaf-only trees
 	variant FlatVariant
 
-	// Compact SoA arena (FlatCompact only): parallel 8-byte nodes plus
-	// the feature-pruned quantization tables. Cut tables exist only for
-	// the numPruned features the forest actually splits on; feats16 and
-	// the quantized rank lanes are indexed by the dense pruned
+	// Compact arena (FlatCompact only): 8-byte nodes plus the
+	// feature-pruned quantization tables. Cut tables exist only for the
+	// numPruned features the forest actually splits on; node feature
+	// fields and the quantized rank lanes are indexed by the dense pruned
 	// renumbering, prunedOrig maps it back to input columns. See
 	// flat_compact.go.
-	keys16     []uint16 // per-node split rank in the feature's cut table
-	feats16    []uint16 // per-node pruned feature index
-	kids       []int32  // packed child/leaf word: low int16 left, high int16 right
-	nodes64    []uint64 // same nodes fused: key16 | feat16<<16 | kids32<<32, one load per walk step
+	nodes64    []uint64 // key16 | feat16<<16 | kids32<<32, one load per walk step
 	cuts       []uint32 // flattened pruned-feature sorted distinct split keys (total order)
 	cutLo      []int32  // numPruned+1 offsets into cuts
 	prunedOrig []int32  // pruned feature index -> original input column
@@ -105,26 +98,17 @@ type FlatForestEngine struct {
 
 	numClasses  int
 	numFeatures int
-	// mode packs the batch kernel's row-group width (1, 2, 4, 8 — or 16
-	// for the dual-group SIMD walk; low byte; 1 under the fused and
-	// SIMD-quant kernels, which read none) together with the compact
-	// walk kernel (branchy, fused, simd-quant or simd; next byte) and
-	// the width-16 walk's lane compaction threshold (third byte, 0 =
-	// kernel default), selected at construction from the calibrated
-	// gates and the arena footprint; SetInterleave/SetKernel and the
-	// calibration passes override it. It is one atomic word because
-	// recalibration (Batcher.Recalibrate on sampled traffic, or an
-	// explicit CalibrateInterleaveRows) may install a new tuple while
-	// Batcher workers are mid-batch: every mode produces identical
-	// predictions, so a worker racing the store merely finishes its
-	// block at the old tuple — and because the tuple travels in one
-	// word, a worker can never observe a width measured under one kernel
-	// combined with the other.
-	mode atomic.Int32
-	// kernelPin, when non-zero, pins calibration to one kernel
-	// (SetKernel): 1 = branchy, 2 = fused, 3 = simd-quant, 4 = simd.
-	kernelPin atomic.Int32
-	// calibSource records where the current mode came from (see the
+	// width is the FLInt batch kernel's row-group width (1, 2, 4 or 8),
+	// selected at construction from the calibrated gates and the arena
+	// footprint; SetInterleave and the calibration passes override it.
+	// A compact engine keeps 1: its tree lanes read no width. It is
+	// atomic because recalibration (Batcher.Recalibrate on sampled
+	// traffic, or an explicit CalibrateInterleaveRows) may install a new
+	// width while Batcher workers are mid-batch: every width produces
+	// identical predictions, so a worker racing the store merely
+	// finishes its block at the old width.
+	width atomic.Int32
+	// calibSource records where the current width came from (see the
 	// calibSource* constants); CalibrationSource decodes it for reports.
 	calibSource atomic.Int32
 }
@@ -151,9 +135,7 @@ func NewFlat(f *rf.Forest, v FlatVariant) (*FlatForestEngine, error) {
 			if err := e.buildCompact(f, cuts); err != nil {
 				return nil, err
 			}
-			g := CurrentInterleaveGates()
-			w, k := g.modeFor(e.variant, e.ArenaBytes())
-			e.mode.Store(packMode(w, k))
+			e.width.Store(1)
 			return e, nil
 		}
 	}
@@ -218,7 +200,7 @@ func NewFlat(f *rf.Forest, v FlatVariant) (*FlatForestEngine, error) {
 			})
 		}
 	}
-	e.mode.Store(packMode(CurrentInterleaveGates().widthFor(e.variant, e.ArenaBytes()), KernelBranchy))
+	e.width.Store(int32(CurrentInterleaveGates().widthFor(e.ArenaBytes())))
 	return e, nil
 }
 
@@ -449,8 +431,8 @@ const pairMinArenaNodes = 1 << 16
 // a worker claims B rows at a time and walks them through the whole
 // forest before the next block, so every node fetched from the arena is
 // reused up to B times while it is cache-hot. It matches the compact
-// fused kernels' 16-row chunk, the unit they deal tree-major to their
-// lanes; 64-row blocks (four chunks per block) served flintperf's
+// walk's 16-row chunk, the unit it deals tree-major to its lanes;
+// 64-row blocks (four chunks per block) served flintperf's
 // large forest slower end to end, in 4 of 4 paired runs.
 const DefaultBlockRows = 16
 
@@ -458,14 +440,13 @@ const DefaultBlockRows = 16
 // or quantize buffers for one interleaved group of rows and the group's
 // vote-count tallies, allocated once at pool construction so the steady
 // state allocates nothing. Buffers are sized for the widest group the
-// variant supports (8-way scalar on the AoS arenas; 16 rows on the
-// compact arena, the fused kernels' chunk and the dual-group SIMD walk)
-// so a later SetInterleave/CalibrateInterleave never forces a
-// reallocation.
+// variant supports (8 rows on the AoS arenas; a 16-row chunk on the
+// compact arena) so a later SetInterleave/CalibrateInterleave never
+// forces a reallocation.
 type flatScratch struct {
 	enc   []int32  // 8*numFeatures raw bit patterns (FLInt/Float32)
 	keys  []uint32 // numFeatures precoded keys (FlatPrecoded only)
-	q     []uint16 // 16*numPruned quantized ranks + pad (FlatCompact only)
+	q     []uint16 // 16*numPruned quantized ranks (FlatCompact only)
 	votes []int32  // vote counts (spilled when classes > maxStackClasses)
 }
 
@@ -476,16 +457,8 @@ func (e *FlatForestEngine) newScratch() *flatScratch {
 		s.votes = make([]int32, 8*e.numClasses)
 		s.keys = make([]uint32, e.numFeatures)
 	case FlatCompact:
-		// 16 rank lanes for the fused kernels' chunks and the dual-group
-		// SIMD walk (the branchy kernel uses the first 8), plus two
-		// padding elements past the last
-		// lane: the SIMD kernel's key gathers load 32 bits per 16-bit
-		// rank, so the last lane's last element would otherwise read
-		// past the allocation. TestSIMDScratchOverreadPad places a
-		// buffer of exactly this size flush against an unmapped guard
-		// page, so silently shrinking the pad faults the test.
 		s.votes = make([]int32, 16*e.numClasses)
-		s.q = make([]uint16, 16*e.numPruned+2)
+		s.q = make([]uint16, 16*e.numPruned)
 	default:
 		s.votes = make([]int32, 8*e.numClasses)
 		s.enc = make([]int32, 8*e.numFeatures)
@@ -502,32 +475,21 @@ func (e *FlatForestEngine) newScratch() *flatScratch {
 // stay row-major (each row, or interleaved group of rows, through every
 // tree): on them a tree-major "lock-step" order and a level-synchronous
 // lane variant both measured slower on commodity x86, their per-walk
-// bookkeeping outweighing the node-fetch reuse. The compact arena's
-// fused and SIMD-quant kernels deal tree-major (tree, row) pairs to
-// four lanes refilled as they leaf, which keeps four node fetches in
-// flight where a row group stalls on its first leaf: on flintperf's
-// large forest, past L2, that served ~1.9x the rows/s of fused row
-// groups of 4 (flat_fused.go). The SIMD kernel's width-16 walk streams
-// the same tree-major pairs.
+// bookkeeping outweighing the node-fetch reuse. The compact arena deals
+// tree-major (tree, row) pairs to four lanes refilled as they leaf,
+// which keeps four node fetches in flight where a row group stalls on
+// its first leaf: on flintperf's large forest, past L2, that served
+// ~1.9x the rows/s of row groups of 4 (flat_fused.go).
 func (e *FlatForestEngine) predictBlock(rows [][]float32, out []int32, s *flatScratch) {
-	m := e.mode.Load()
-	e.predictBlockMode(rows, out, s, modeWidth(m), modeKernel(m), modeRefill(m))
+	e.predictBlockWidth(rows, out, s, int(e.width.Load()))
 }
 
-// predictBlockWidth is predictBlockMode with the kernel-default lane
-// compaction policy — the form differential tests exercise, since the
-// compaction threshold changes scheduling, never answers.
-func (e *FlatForestEngine) predictBlockWidth(rows [][]float32, out []int32, s *flatScratch, width int, k Kernel) {
-	e.predictBlockMode(rows, out, s, width, k, 0)
-}
-
-// predictBlockMode is predictBlock at an explicit interleave width,
-// kernel and compaction threshold, bypassing the engine's atomic mode
-// field. It exists so calibration (timeModes) can time every candidate
-// mode without mutating shared engine state while Batcher workers are
-// in flight; the serving path loads the atomic once per block and
-// funnels through here.
-func (e *FlatForestEngine) predictBlockMode(rows [][]float32, out []int32, s *flatScratch, width int, k Kernel, refill int32) {
+// predictBlockWidth is predictBlock at an explicit interleave width,
+// bypassing the engine's atomic width field. It exists so calibration
+// (timeWidths) can time every candidate width without mutating shared
+// engine state while Batcher workers are in flight; the serving path
+// loads the atomic once per block and funnels through here.
+func (e *FlatForestEngine) predictBlockWidth(rows [][]float32, out []int32, s *flatScratch, width int) {
 	nf := e.numFeatures
 	nc := e.numClasses
 	switch {
@@ -543,14 +505,8 @@ func (e *FlatForestEngine) predictBlockMode(rows [][]float32, out []int32, s *fl
 			}
 			out[b] = rf.Argmax(votes)
 		}
-	case e.variant == FlatCompact && k == KernelSIMD && width >= simdWidth16:
-		e.predictBlockCompactSIMD16(rows, out, s, refill)
-	case e.variant == FlatCompact && k == KernelSIMD:
-		e.predictBlockCompactSIMD(rows, out, s, width)
-	case e.variant == FlatCompact && (k == KernelFused || k == KernelSIMDQuant):
-		e.predictBlockCompactFusedQ(rows, out, s, k == KernelSIMDQuant)
 	case e.variant == FlatCompact:
-		e.predictBlockCompact(rows, out, s, width)
+		e.predictBlockCompactFused(rows, out, s)
 	case e.variant == FlatFLInt && width >= 2:
 		e.predictBlockFLIntWide(rows, out, s, width)
 	default:

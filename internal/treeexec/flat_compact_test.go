@@ -14,8 +14,9 @@ import (
 )
 
 // TestCompactArenaStructure pins the compact encoding down on a hand-
-// built forest: tree bases in roots, packed int16 child halves with
-// ^class leaves, per-feature cut tables and rank keys.
+// built forest: tree bases in roots, the nodes64 words (rank key,
+// pruned feature, packed int16 child halves with ^class leaves) and the
+// per-feature cut tables.
 func TestCompactArenaStructure(t *testing.T) {
 	f := &rf.Forest{NumFeatures: 2, NumClasses: 3, Trees: []rf.Tree{
 		{Nodes: []rf.Node{
@@ -37,8 +38,8 @@ func TestCompactArenaStructure(t *testing.T) {
 	if e.Variant() != FlatCompact {
 		t.Fatalf("variant = %v, want FlatCompact", e.Variant())
 	}
-	if got := len(e.kids); got != 2 {
-		t.Fatalf("compact arena holds %d nodes, want 2", got)
+	if got := len(e.nodes64); got != 2 || e.ArenaNodes() != 2 {
+		t.Fatalf("compact arena holds %d nodes (ArenaNodes %d), want 2", got, e.ArenaNodes())
 	}
 	if e.roots[0] != 0 {
 		t.Errorf("tree 0 base = %d, want 0", e.roots[0])
@@ -46,19 +47,20 @@ func TestCompactArenaStructure(t *testing.T) {
 	if e.roots[1] != ^int32(2) {
 		t.Errorf("leaf-only tree root = %d, want %d", e.roots[1], ^int32(2))
 	}
-	// Node 0: feature 0, rank 0, left = leaf class 1 (^1), right = rel 1.
-	if e.feats16[0] != 0 || e.keys16[0] != 0 {
-		t.Errorf("node 0 = (f%d, k%d), want (f0, k0)", e.feats16[0], e.keys16[0])
+	// Each word is rank | feature<<16 | kids<<32, the kids word holding
+	// the left child's int16 in its low half and the right's in its high
+	// half. Node 0: rank 0, feature 0, left = leaf class 1 (^1 = 0xfffe),
+	// right = tree-relative node 1.
+	if want := uint64(0x0001fffe_00000000); e.nodes64[0] != want {
+		t.Errorf("node 0 word = %#x, want %#x", e.nodes64[0], want)
 	}
-	if e.kids[0] != packKids(^int32(1), 1) {
-		t.Errorf("node 0 kids = %#x, want %#x", e.kids[0], packKids(^int32(1), 1))
+	// Node 1: rank 0, feature 1, both children leaves: class 0 (^0 =
+	// 0xffff) and class 2 (^2 = 0xfffd).
+	if want := uint64(0xfffdffff_00010000); e.nodes64[1] != want {
+		t.Errorf("node 1 word = %#x, want %#x", e.nodes64[1], want)
 	}
-	// Node 1: feature 1, rank 0, both children leaves (classes 0 and 2).
-	if e.feats16[1] != 1 || e.keys16[1] != 0 {
-		t.Errorf("node 1 = (f%d, k%d), want (f1, k0)", e.feats16[1], e.keys16[1])
-	}
-	if e.kids[1] != packKids(^int32(0), ^int32(2)) {
-		t.Errorf("node 1 kids = %#x, want %#x", e.kids[1], packKids(^int32(0), ^int32(2)))
+	if e.nodes64[1] != packNode64(0, 1, packKids(^int32(0), ^int32(2))) {
+		t.Errorf("packNode64/packKids disagree with the word layout")
 	}
 	// One cut per feature; both features are split on, so the pruned
 	// index space is the identity over both columns.
@@ -72,7 +74,7 @@ func TestCompactArenaStructure(t *testing.T) {
 		t.Errorf("PrunedFeatures = %d, want 2", got)
 	}
 	// 8 bytes per node, plus the cut tables and the pruned-index map.
-	if got, want := e.ArenaBytes(), 2*2+2*2+4*2+4*2+4*3+4*2; got != want {
+	if got, want := e.ArenaBytes(), 8*2+4*2+4*3+4*2; got != want {
 		t.Errorf("ArenaBytes = %d, want %d", got, want)
 	}
 	for _, x := range [][]float32{{0, 0}, {2, -3}, {2, 5}, {-1, -2}, {1.5, -2}} {
@@ -85,7 +87,7 @@ func TestCompactArenaStructure(t *testing.T) {
 // TestCompactBitIdenticalAllWorkloads is the tentpole differential test:
 // on every bundled workload, the compact arena must match the FLInt
 // arena prediction-for-prediction through the single-row paths and the
-// batch kernel at every interleave width.
+// batch walk.
 func TestCompactBitIdenticalAllWorkloads(t *testing.T) {
 	for _, ds := range dataset.Names() {
 		ds := ds
@@ -120,13 +122,10 @@ func TestCompactBitIdenticalAllWorkloads(t *testing.T) {
 						t.Fatalf("row %d: precoded got %d want %d", i, got, want[i])
 					}
 				}
-				for _, width := range []int{1, 2, 4, 8} {
-					e.SetInterleave(width)
-					got := e.PredictBatch(d.Features, nil, 2, 13)
-					for i := range got {
-						if got[i] != want[i] {
-							t.Fatalf("width %d row %d: batch got %d want %d", width, i, got[i], want[i])
-						}
+				got := e.PredictBatch(d.Features, nil, 2, 13)
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("row %d: batch got %d want %d", i, got[i], want[i])
 					}
 				}
 			}
@@ -198,13 +197,10 @@ func TestCompactAdversarialRandomForests(t *testing.T) {
 				t.Fatalf("trial %d: compact got %d want %d for %v", trial, got, want, row)
 			}
 		}
-		for _, width := range []int{2, 4, 8} {
-			e.SetInterleave(width)
-			got := e.PredictBatch(rows, nil, 1, 16)
-			for i := range rows {
-				if want := ref.Predict(rows[i]); got[i] != want {
-					t.Fatalf("trial %d width %d row %d: got %d want %d", trial, width, i, got[i], want)
-				}
+		got := e.PredictBatch(rows, nil, 1, 16)
+		for i := range rows {
+			if want := ref.Predict(rows[i]); got[i] != want {
+				t.Fatalf("trial %d row %d: got %d want %d", trial, i, got[i], want)
 			}
 		}
 	}
@@ -227,7 +223,7 @@ func featureChainTree(n int, baseFeat int32) rf.Tree {
 // indirection over a forest whose split-on features leave gaps: 40
 // input columns, splits only on a scattered handful, so prunedOrig is
 // a non-identity map and every quantizer path (float rows, encoded
-// bits, precoded keys, all interleave widths) has to translate through
+// bits, precoded keys, the batch walk) has to translate through
 // it. Predictions must stay bit-identical to the FLInt arena.
 func TestCompactPrunedFeaturesDifferential(t *testing.T) {
 	const numFeatures = 40
@@ -297,13 +293,10 @@ func TestCompactPrunedFeaturesDifferential(t *testing.T) {
 			t.Fatalf("row %d: precoded got %d want %d", i, got, want[i])
 		}
 	}
-	for _, width := range []int{1, 2, 4, 8} {
-		e.SetInterleave(width)
-		got := e.PredictBatch(rows, nil, 2, 11)
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("width %d row %d: batch got %d want %d", width, i, got[i], want[i])
-			}
+	got := e.PredictBatch(rows, nil, 2, 11)
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("row %d: batch got %d want %d", i, got[i], want[i])
 		}
 	}
 }
@@ -423,7 +416,7 @@ func TestCompactFallbackReasons(t *testing.T) {
 
 // TestCompactZeroAllocSteadyState asserts the compact kernel's
 // acceptance criterion: steady-state Batcher prediction over the
-// compact arena allocates nothing at any interleave width, on both a
+// compact arena allocates nothing, on both a
 // <=8-class workload (stack votes) and an 11-class one (scratch votes).
 // Where a row's ranks and votes fit the stack, a lone row through
 // Predict, PredictEncoded or PredictPrecoded allocates nothing either.
@@ -442,30 +435,26 @@ func TestCompactZeroAllocSteadyState(t *testing.T) {
 			x := d.Features[0]
 			xi := core.EncodeFeatures32(nil, x)
 			keys := core.PrecodeFeatures32(nil, x)
-			for _, width := range []int{1, 2, 4, 8} {
-				e.SetInterleave(width)
-				b := NewBatcher(e, 2, 7)
-				out := make([]int32, d.Len())
-				b.Predict(d.Features, out) // warm up
-				if avg := testing.AllocsPerRun(20, func() {
-					b.Predict(d.Features, out)
-				}); avg != 0 {
-					t.Errorf("width=%d: compact Batcher.Predict allocates %.1f objects per batch, want 0", width, avg)
-				}
-				b.Close()
-				// A lone row is a block of one through the lane dealer,
-				// whatever width and kernel the batch path runs.
-				if f.NumFeatures > maxStackQuantizedFeatures || f.NumClasses > maxStackClasses {
-					continue
-				}
-				for name, predict := range map[string]func(){
-					"Predict":         func() { e.Predict(x) },
-					"PredictEncoded":  func() { e.PredictEncoded(xi) },
-					"PredictPrecoded": func() { e.PredictPrecoded(keys) },
-				} {
-					if avg := testing.AllocsPerRun(100, predict); avg != 0 {
-						t.Errorf("width=%d kernel=%v: compact %s allocates %.1f objects, want 0", width, e.Kernel(), name, avg)
-					}
+			b := NewBatcher(e, 2, 7)
+			out := make([]int32, d.Len())
+			b.Predict(d.Features, out) // warm up
+			if avg := testing.AllocsPerRun(20, func() {
+				b.Predict(d.Features, out)
+			}); avg != 0 {
+				t.Errorf("compact Batcher.Predict allocates %.1f objects per batch, want 0", avg)
+			}
+			b.Close()
+			// A lone row is a block of one through the lane dealer.
+			if f.NumFeatures > maxStackQuantizedFeatures || f.NumClasses > maxStackClasses {
+				return
+			}
+			for name, predict := range map[string]func(){
+				"Predict":         func() { e.Predict(x) },
+				"PredictEncoded":  func() { e.PredictEncoded(xi) },
+				"PredictPrecoded": func() { e.PredictPrecoded(keys) },
+			} {
+				if avg := testing.AllocsPerRun(100, predict); avg != 0 {
+					t.Errorf("compact %s allocates %.1f objects, want 0", name, avg)
 				}
 			}
 		})
@@ -483,20 +472,8 @@ func TestInterleaveGatesAndCalibration(t *testing.T) {
 	for _, tc := range []struct{ bytes, want int }{
 		{0, 1}, {99, 1}, {100, 2}, {999, 2}, {1000, 4}, {10000, 8}, {1 << 30, 8},
 	} {
-		if got := g.widthFor(FlatFLInt, tc.bytes); got != tc.want {
-			t.Errorf("widthFor(FlatFLInt, %d) = %d, want %d", tc.bytes, got, tc.want)
-		}
-		// An all-zero compact set falls back to the AoS thresholds.
-		if got := g.widthFor(FlatCompact, tc.bytes); got != tc.want {
-			t.Errorf("legacy widthFor(FlatCompact, %d) = %d, want %d", tc.bytes, got, tc.want)
-		}
-	}
-	g.CompactMin2, g.CompactMin4, g.CompactMin8 = 200, 2000, 20000
-	for _, tc := range []struct{ bytes, want int }{
-		{100, 1}, {200, 2}, {1999, 2}, {2000, 4}, {20000, 8},
-	} {
-		if got := g.widthFor(FlatCompact, tc.bytes); got != tc.want {
-			t.Errorf("widthFor(FlatCompact, %d) = %d, want %d", tc.bytes, got, tc.want)
+		if got := g.widthFor(tc.bytes); got != tc.want {
+			t.Errorf("widthFor(%d) = %d, want %d", tc.bytes, got, tc.want)
 		}
 	}
 
@@ -527,14 +504,14 @@ func TestInterleaveGatesAndCalibration(t *testing.T) {
 		}
 	}
 
-	// The compact kernel calibrates too; non-interleaving variants are
-	// a no-op.
+	// The compact walk calibrates too, always at width 1;
+	// non-interleaving variants are a no-op.
 	ce, err := NewFlat(f, FlatCompact)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w := ce.CalibrateInterleave(8 * time.Millisecond); w != ce.Interleave() {
-		t.Errorf("compact calibration: returned %d, engine at %d", w, ce.Interleave())
+	if w := ce.CalibrateInterleave(8 * time.Millisecond); w != 1 || ce.Interleave() != 1 {
+		t.Errorf("compact calibration: returned %d, engine at %d, want 1", w, ce.Interleave())
 	}
 	pe, err := NewFlat(f, FlatPrecoded)
 	if err != nil {
@@ -545,8 +522,7 @@ func TestInterleaveGatesAndCalibration(t *testing.T) {
 	}
 
 	// The host-wide ladder: monotone gates made of ladder sizes or
-	// MaxInt, installed for later constructions — one set per
-	// interleaving arena layout.
+	// MaxInt, installed for later constructions.
 	gates := Calibrate(40 * time.Millisecond)
 	if gates != CurrentInterleaveGates() {
 		t.Errorf("Calibrate did not install its result: %+v vs %+v", gates, CurrentInterleaveGates())
@@ -554,12 +530,9 @@ func TestInterleaveGatesAndCalibration(t *testing.T) {
 	if gates.Min2 > gates.Min4 || gates.Min4 > gates.Min8 {
 		t.Errorf("AoS gates not monotone: %+v", gates)
 	}
-	if gates.CompactMin2 > gates.CompactMin4 || gates.CompactMin4 > gates.CompactMin8 {
-		t.Errorf("compact gates not monotone: %+v", gates)
-	}
 }
 
-// TestCompactLargeClassCount sends the compact kernel through the
+// TestCompactLargeClassCount sends the compact walk through the
 // scratch-vote path with a synthetic many-class forest, covering the
 // int16 ^class halves away from the tiny class ids of the workloads.
 func TestCompactLargeClassCount(t *testing.T) {
@@ -601,13 +574,10 @@ func TestCompactLargeClassCount(t *testing.T) {
 	for i := range rows {
 		rows[i] = []float32{float32(rng.NormFloat64()), float32(rng.NormFloat64()), float32(rng.NormFloat64())}
 	}
-	for _, width := range []int{1, 2, 4, 8} {
-		e.SetInterleave(width)
-		got := e.PredictBatch(rows, nil, 1, 8)
-		for i := range rows {
-			if want := ref.Predict(rows[i]); got[i] != want {
-				t.Fatalf("width %d row %d: got %d want %d", width, i, got[i], want)
-			}
+	got := e.PredictBatch(rows, nil, 1, 8)
+	for i := range rows {
+		if want := ref.Predict(rows[i]); got[i] != want {
+			t.Fatalf("row %d: got %d want %d", i, got[i], want)
 		}
 	}
 }

@@ -7,16 +7,8 @@ import (
 	"flint/internal/rf"
 )
 
-// The fused kernel is the branch-free form of the compact walk. The
-// branchy kernel (flat_compact.go) executes, per cursor per level, one
-// data-dependent branch (`if q[feats[i]] <= keys[i]`) plus three
-// separate slice loads (keys16, feats16, kids). On deep forests those
-// branches are close to 50/50 — a trained split divides its reachable
-// inputs — so the predictor mispredicts near half of them and each
-// mispredict flushes the pipeline. FLInt's core move is converting a
-// control dependency (the float-compare branch structure) into integer
-// data flow; this kernel applies the same conversion to the *child
-// select*:
+// The fused walk is the compact arena's only walk. Per cursor per
+// level it makes one load and no data-dependent branch:
 //
 //	w := nodes64[base+rel]                               // one load: key | feat | kids
 //	b := (uint32(uint16(w)) - uint32(q[uint16(w>>16)])) >> 31
@@ -24,19 +16,18 @@ import (
 //
 // b is 1 exactly when q > key (the uint32 subtraction of two
 // zero-extended uint16s underflows, setting bit 31), so the shift picks
-// the right child's int16 half without a conditional: lanes never
-// diverge in code, only in data. The walk's sole branch is the loop
-// exit (`rel >= 0`), which mispredicts once per chain instead of once
-// per level. The price is a longer serial dependency per step — the
-// select now sits on the load's critical path — which is why neither
-// kernel dominates: calibration times both and the gates/mode decide.
+// the right child's int16 half without a conditional: FLInt's move from
+// a control dependency to integer data flow, applied to the child
+// select. On deep trained forests a split divides its inputs near
+// 50/50, so a compare-and-branch walk mispredicts near half its levels;
+// this walk's sole branch is the loop exit (`rel >= 0`), which
+// mispredicts once per chain.
 //
 // The quantizers get the same treatment: quantizeBlockFused and its
 // one-row forms run a branchless binary search (fixed iteration count,
-// arithmetic select of the half to keep) over the same cut tables,
-// producing the ranks the branchy search would.
+// arithmetic select of the half to keep) over the cut tables.
 //
-// One block loop, predictBlockCompactFusedQ, deals the walk's lanes.
+// One block loop, predictBlockCompactFused, deals the walk's lanes.
 // A lane is a (tree, row) pair: a tree base and a cursor stepped
 // against one row's ranks. A block is quantized in chunks of up to 16
 // rows, and four lanes walk all of a chunk's pairs, dealt tree-major —
@@ -46,12 +37,11 @@ import (
 // stay in flight until the pairs run out; fixed row groups instead
 // stall each time one of their rows leafs, and on flintperf's large
 // forest, past L2, served ~1.9x fewer rows/s. A one-row chunk, and a
-// lone row (Predict, PredictEncoded, PredictPrecoded) under every
-// kernel, walks its own trees four at a time (voteRowFused): the four
-// lanes share the row's rank vector, which spares them the per-lane
-// rank offsets. The lanes stay unrolled in registers: a loop over an
-// array of cursors measured 12-120% slower, because the compiler keeps
-// array elements in memory.
+// lone row (Predict, PredictEncoded, PredictPrecoded), walks its own
+// trees four at a time (voteRowFused): the four lanes share the row's
+// rank vector, which spares them the per-lane rank offsets. The lanes
+// stay unrolled in registers: a loop over an array of cursors measured
+// 12-120% slower, because the compiler keeps array elements in memory.
 
 // packNode64 fuses one compact node into a single word: the split rank
 // in the low 16 bits, the pruned feature index in the next 16, and the
@@ -61,9 +51,8 @@ func packNode64(rank, feat uint16, kids int32) uint64 {
 }
 
 // fusedStep resolves one walk step from a fused node word: branch-free
-// child select as derived above. It must mirror the branchy step
-// exactly: q[feat] <= key picks the low (left) half, otherwise the
-// high (right) half.
+// child select as derived above. q[feat] <= key picks the low (left)
+// half, otherwise the high (right) half.
 func fusedStep(w uint64, q []uint16) int { return fusedStepAt(w, q, 0) }
 
 // fusedStepAt is fusedStep for a lane whose row's ranks start at
@@ -113,10 +102,12 @@ func branchlessRank(cuts []uint32, lo, hi int32, key uint32) uint16 {
 	return uint16(base - int(lo) + int((uint64(cuts[base])-uint64(key))>>63))
 }
 
-// quantizeBlockFused is quantizeBlock with the branchless search: it
-// quantizes a chunk of up to 16 float rows feature-major into
-// consecutive numPruned-wide lanes of dst, each rank computed by
-// branchlessRank so the group's searches retire without mispredicts.
+// quantizeBlockFused quantizes a chunk of up to 16 float rows into
+// consecutive numPruned-wide lanes of dst (row i fills
+// dst[i*numPruned : (i+1)*numPruned]), each rank computed by
+// branchlessRank so the chunk's searches retire without mispredicts.
+// The loop is feature-major: one pruned feature's cut segment is
+// searched for every row of the chunk while it is cache-hot.
 func (e *FlatForestEngine) quantizeBlockFused(rows [][]float32, dst []uint16) {
 	cuts, cutLo := e.cuts, e.cutLo
 	nq := e.numPruned
@@ -322,26 +313,15 @@ func (d *pairDealer) deal(i, rel int) (int, int, int) {
 	return d.start(i)
 }
 
-// predictBlockCompactFusedQ is the block loop of the fused and
-// SIMD-quant kernels. It quantizes the block in chunks of up to 16 rows
-// into s.q — simdQ selects KernelSIMDQuant's 8-lane vector search
-// (flat_simd.go) over the scalar branchless one, run on each chunk's
-// 8-row groups, identical ranks either way — and deals each chunk's
-// (tree, row) pairs to four lanes (voteChunkFused). A one-row chunk
-// walks its trees four at a time (voteRowFused) instead.
-func (e *FlatForestEngine) predictBlockCompactFusedQ(rows [][]float32, out []int32, s *flatScratch, simdQ bool) {
+// predictBlockCompactFused is the compact arena's block loop. It
+// quantizes the block in chunks of up to 16 rows into s.q and deals
+// each chunk's (tree, row) pairs to four lanes (voteChunkFused). A
+// one-row chunk walks its trees four at a time (voteRowFused) instead.
+func (e *FlatForestEngine) predictBlockCompactFused(rows [][]float32, out []int32, s *flatScratch) {
 	nq := e.numPruned
 	for b := 0; b < len(rows); {
 		k := min(len(rows)-b, 16)
-		chunk := rows[b : b+k]
-		if simdQ {
-			e.quantizeBlockSIMD(chunk[:min(k, 8)], s.q)
-			if k > 8 {
-				e.quantizeBlockSIMD(chunk[8:], s.q[8*nq:])
-			}
-		} else {
-			e.quantizeBlockFused(chunk, s.q)
-		}
+		e.quantizeBlockFused(rows[b:b+k], s.q)
 		var stack [16][maxStackClasses]int32
 		votes := voteLanes16(&stack, s.votes, e.numClasses, k)
 		if k == 1 {

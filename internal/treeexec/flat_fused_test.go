@@ -4,40 +4,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
-	"time"
 
 	"flint/internal/core"
 	"flint/internal/dataset"
 	"flint/internal/rf"
 )
-
-// TestFusedNodeMirror pins the nodes64 encoding: every compact node's
-// fused word must be exactly its three parallel-slice fields packed as
-// key16 | feat16<<16 | kids32<<32, on a trained forest and on the
-// synthetic calibration arena.
-func TestFusedNodeMirror(t *testing.T) {
-	f, _ := trainedForest(t, "magic", 6, 6)
-	e, err := NewFlat(f, FlatCompact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Variant() != FlatCompact {
-		t.Fatalf("fell back to %v", e.Variant())
-	}
-	for _, eng := range []*FlatForestEngine{e, syntheticCompactEngine(64 << 10)} {
-		if len(eng.nodes64) != len(eng.kids) {
-			t.Fatalf("nodes64 holds %d words for %d nodes", len(eng.nodes64), len(eng.kids))
-		}
-		for i := range eng.kids {
-			want := uint64(eng.keys16[i]) | uint64(eng.feats16[i])<<16 | uint64(uint32(eng.kids[i]))<<32
-			if eng.nodes64[i] != want {
-				t.Fatalf("node %d fused word = %#x, want %#x", i, eng.nodes64[i], want)
-			}
-		}
-	}
-}
 
 // TestBranchlessRankMatchesBranchy drives the branchless binary search
 // against the branchy one over random cut tables, covering the edges
@@ -83,49 +55,35 @@ func TestBranchlessRankMatchesBranchy(t *testing.T) {
 	}
 }
 
-// compactKernels lists every compact walk kernel.
-var compactKernels = []Kernel{KernelBranchy, KernelFused, KernelSIMDQuant, KernelSIMD}
-
-// checkCompactModes is the lane dealers' differential. Under every
-// kernel, e's single-row entries (Predict, PredictEncoded,
-// PredictPrecoded: blocks of one) and its batch path at widths 1, 2, 4
-// and 8 must all return want. The batch runs every block size from 1
-// to 2w+1 — full row groups, leftover rows after them, and blocks of
-// leftovers alone; for the fused kernels' 16-row chunks, every chunk
-// size and a one-row chunk after a full one — and blocks of 33 and 48
-// rows, two and three full chunks with and without a one-row remainder.
+// checkCompactModes is the lane dealers' differential: e's single-row
+// entries (Predict, PredictEncoded, PredictPrecoded: blocks of one) and
+// its batch path must all return want. The batch runs every block size
+// from 1 to 17 — each chunk size of the 16-row chunks, and a one-row
+// chunk after a full one — and blocks of 33 and 48 rows, two and three
+// full chunks with and without a one-row remainder.
 func checkCompactModes(t *testing.T, e *FlatForestEngine, rows [][]float32, want []int32) {
 	t.Helper()
-	for _, k := range compactKernels {
-		e.SetKernel(k)
-		for i, x := range rows {
-			if got := e.Predict(x); got != want[i] {
-				t.Fatalf("%v row %d: Predict got %d want %d for %v", k, i, got, want[i], x)
-			}
-			if got := e.PredictEncoded(core.EncodeFeatures32(nil, x)); got != want[i] {
-				t.Fatalf("%v row %d: PredictEncoded got %d want %d for %v", k, i, got, want[i], x)
-			}
-			if got := e.PredictPrecoded(core.PrecodeFeatures32(nil, x)); got != want[i] {
-				t.Fatalf("%v row %d: PredictPrecoded got %d want %d for %v", k, i, got, want[i], x)
-			}
+	for i, x := range rows {
+		if got := e.Predict(x); got != want[i] {
+			t.Fatalf("row %d: Predict got %d want %d for %v", i, got, want[i], x)
 		}
-		for _, width := range []int{1, 2, 4, 8} {
-			e.SetInterleave(width)
-			if e.Kernel() != k {
-				t.Fatalf("SetInterleave(%d) dropped the %v kernel", width, k)
-			}
-			blocks := []int{33, 48}
-			for block := 1; block <= 2*width+1; block++ {
-				blocks = append(blocks, block)
-			}
-			for _, block := range blocks {
-				got := e.PredictBatch(rows, nil, 2, block)
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("%v width %d block %d row %d: batch got %d want %d for %v",
-							k, width, block, i, got[i], want[i], rows[i])
-					}
-				}
+		if got := e.PredictEncoded(core.EncodeFeatures32(nil, x)); got != want[i] {
+			t.Fatalf("row %d: PredictEncoded got %d want %d for %v", i, got, want[i], x)
+		}
+		if got := e.PredictPrecoded(core.PrecodeFeatures32(nil, x)); got != want[i] {
+			t.Fatalf("row %d: PredictPrecoded got %d want %d for %v", i, got, want[i], x)
+		}
+	}
+	blocks := []int{33, 48}
+	for block := 1; block <= 17; block++ {
+		blocks = append(blocks, block)
+	}
+	for _, block := range blocks {
+		got := e.PredictBatch(rows, nil, 2, block)
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("block %d row %d: batch got %d want %d for %v",
+					block, i, got[i], want[i], rows[i])
 			}
 		}
 	}
@@ -134,7 +92,7 @@ func checkCompactModes(t *testing.T, e *FlatForestEngine, rows [][]float32, want
 // TestFusedBitIdenticalAllWorkloads is the tentpole acceptance test:
 // on every bundled workload the compact arena must match
 // rf.Forest.Predict (and the FLInt arena) prediction-for-prediction in
-// every mode checkCompactModes drives.
+// every entry and block size checkCompactModes drives.
 func TestFusedBitIdenticalAllWorkloads(t *testing.T) {
 	for _, ds := range dataset.Names() {
 		ds := ds
@@ -164,7 +122,7 @@ func TestFusedBitIdenticalAllWorkloads(t *testing.T) {
 	}
 }
 
-// TestFusedAdversarialRandomForests cross-checks every compact mode on
+// TestFusedAdversarialRandomForests cross-checks every compact entry on
 // randomly grown trees over the extreme split-value pool (signed zeros,
 // subnormals, extremes) against rf.Forest.Predict. Tree counts 1, 3, 5
 // and 30 cover forests below, at and well past the dealer's four lanes.
@@ -250,10 +208,10 @@ func TestFusedAdversarialRandomForests(t *testing.T) {
 }
 
 // TestCompactPrecodedDifferentialBothKernels covers quantizeKeysFused
-// and PredictPrecoded on the compact variant directly (they were only
-// exercised incidentally before): for every workload, the precoded path
-// must match the float path row for row under every kernel, and the
-// batch kernel must agree at every width. A feature-pruned forest
+// and PredictPrecoded on the compact variant directly: for every
+// workload, the precoded path and the batch path must both match the
+// FlatFloat32 arena row for row (the name dates from when the compact
+// arena had two kernels; it has one walk now). A feature-pruned forest
 // (prunedOrig non-identity) rides along via the wide sparse-split
 // construction below.
 func TestCompactPrecodedDifferentialBothKernels(t *testing.T) {
@@ -272,22 +230,14 @@ func TestCompactPrecodedDifferentialBothKernels(t *testing.T) {
 			if e.Variant() != FlatCompact {
 				t.Fatalf("fell back to %v", e.Variant())
 			}
-			for _, k := range compactKernels {
-				e.SetKernel(k)
-				for i, x := range d.Features {
-					want := float.Predict(x)
-					if got := e.PredictPrecoded(core.PrecodeFeatures32(nil, x)); got != want {
-						t.Fatalf("%v row %d: precoded got %d, float path wants %d", k, i, got, want)
-					}
+			got := e.PredictBatch(d.Features, nil, 1, 16)
+			for i, x := range d.Features {
+				want := float.Predict(x)
+				if p := e.PredictPrecoded(core.PrecodeFeatures32(nil, x)); p != want {
+					t.Fatalf("row %d: precoded got %d, float path wants %d", i, p, want)
 				}
-				for _, width := range []int{1, 2, 4, 8} {
-					e.SetInterleave(width)
-					got := e.PredictBatch(d.Features, nil, 1, 16)
-					for i, x := range d.Features {
-						if want := float.Predict(x); got[i] != want {
-							t.Fatalf("%v width %d row %d: batch got %d, float path wants %d", k, width, i, got[i], want)
-						}
-					}
+				if got[i] != want {
+					t.Fatalf("row %d: batch got %d, float path wants %d", i, got[i], want)
 				}
 			}
 		})
@@ -357,17 +307,15 @@ func skewTree(depth int, feat int32) rf.Tree {
 	return rf.Tree{Nodes: nodes}
 }
 
-// TestSkewedDepthFinishDrains pins the drains of the interleaved
-// walks on an adversarial chain forest: nine chains, tree i on feature
-// i, so a row's value on feature i sets the depth at which tree i
-// leafs. In the row-interleaved walks one row survives to depth 48
-// while the rest of its group exits at once, rotated through every
-// position of a group of 8; in the fused dealers' lanes one (tree, row)
-// pair survives to depth 48 — one deep tree rotated through all nine
-// trees, or one deep row rotated through a chunk — so the deep pair
-// holds each of the four lanes, is refilled around, and is still
-// walking when the final drain runs. Staircases and uniform rows ride
-// along. Every mode must match rf.Forest.Predict and the FLInt arena.
+// TestSkewedDepthFinishDrains pins the drains of the compact lane
+// dealers on an adversarial chain forest: nine chains, tree i on
+// feature i, so a row's value on feature i sets the depth at which tree
+// i leafs. One (tree, row) pair survives to depth 48 — one deep tree
+// rotated through all nine trees, or one deep row rotated through every
+// position of a group of 8 rows — so the deep pair holds each of the
+// four lanes, is refilled around, and is still walking when the final
+// drain runs. Staircases and uniform rows ride along. Every entry must
+// match rf.Forest.Predict and the FLInt arena.
 func TestSkewedDepthFinishDrains(t *testing.T) {
 	const depth = 48
 	const nt = 9
@@ -447,23 +395,12 @@ func TestSkewedDepthFinishDrains(t *testing.T) {
 		}
 	}
 	checkCompactModes(t, e, rows, want)
-	// The dual-group walk's refill scheduling is exactly what a
-	// skewed-depth forest stresses: one lane pinning the group.
-	e.SetKernel(KernelSIMD)
-	e.SetInterleave(16)
-	got := e.PredictBatch(rows, nil, 1, 8)
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("simd width 16 row %d: got %d want %d (lanes %v)", i, got[i], want[i], rows[i])
-		}
-	}
 }
 
 // TestFusedZeroAllocSteadyState extends the zero-alloc acceptance
-// criterion to the fused kernel: steady-state Batcher prediction with
-// the fused kernel installed allocates nothing, at Batcher blocks of
-// one partial chunk (7 rows), one full chunk (16) and two full chunks
-// plus a partial one (40).
+// criterion to the compact walk: steady-state Batcher prediction
+// allocates nothing, at Batcher blocks of one partial chunk (7 rows),
+// one full chunk (16) and two full chunks plus a partial one (40).
 func TestFusedZeroAllocSteadyState(t *testing.T) {
 	f, d := trainedForest(t, "magic", 6, 8)
 	e, err := NewFlat(f, FlatCompact)
@@ -473,7 +410,6 @@ func TestFusedZeroAllocSteadyState(t *testing.T) {
 	if e.Variant() != FlatCompact {
 		t.Fatalf("fell back to %v", e.Variant())
 	}
-	e.SetKernel(KernelFused)
 	for _, block := range []int{7, 16, 40} {
 		b := NewBatcher(e, 2, block)
 		out := make([]int32, d.Len())
@@ -481,230 +417,53 @@ func TestFusedZeroAllocSteadyState(t *testing.T) {
 		if avg := testing.AllocsPerRun(20, func() {
 			b.Predict(d.Features, out)
 		}); avg != 0 {
-			t.Errorf("block=%d: fused Batcher.Predict allocates %.1f objects per batch, want 0", block, avg)
+			t.Errorf("block=%d: compact Batcher.Predict allocates %.1f objects per batch, want 0", block, avg)
 		}
 		b.Close()
 	}
 }
 
 // TestCalibrationSlate pins what one calibration pass times: the
-// branchy and SIMD kernels at every row-group width, the fused and
-// SIMD-quant kernels once each at width 1 (their tree lanes read no
-// width, so other widths would time the same code again), and the
-// width-16 SIMD walk with lane compaction off and on — 12 candidates
-// where the SIMD kernels run natively, 5 elsewhere. A pinned kernel is
-// timed alone, the FLInt arena times its four widths, and construction
-// installs width 1 under the fused and SIMD-quant kernels whatever the
-// width gates say.
+// compact arena's one walk once, at width 1, and the FLInt arena's four
+// widths. A compact engine reports width 1 and the fused walk whatever
+// the width gates say, SetInterleave leaves it at width 1, and the AoS
+// arenas report the branchy walk.
 func TestCalibrationSlate(t *testing.T) {
-	slate := func(e *FlatForestEngine) string {
-		var s []string
-		for _, c := range e.modeCandidates() {
-			d := fmt.Sprintf("%v/%d", modeKernel(c), modeWidth(c))
-			if r := modeRefill(c); r != 0 {
-				d += fmt.Sprintf("/r%d", r)
-			}
-			s = append(s, d)
-		}
-		return strings.Join(s, " ")
+	if got := fmt.Sprint((&FlatForestEngine{variant: FlatCompact}).widthCandidates()); got != "[1]" {
+		t.Errorf("compact slate = %s, want [1]", got)
 	}
-	want, wantN := "branchy/1 branchy/2 branchy/4 branchy/8 fused/1", 5
-	if simdKernelAvailable() {
-		want += " simd-quant/1 simd/1 simd/2 simd/4 simd/8 simd/16/r1 simd/16/r6"
-		wantN = 12
-	}
-	compact := &FlatForestEngine{variant: FlatCompact}
-	if got := slate(compact); got != want {
-		t.Errorf("compact slate = %q, want %q", got, want)
-	}
-	if n := len(compact.modeCandidates()); n != wantN {
-		t.Errorf("compact slate has %d candidates, want %d", n, wantN)
-	}
-	for _, k := range []Kernel{KernelFused, KernelSIMDQuant} {
-		compact.kernelPin.Store(int32(k) + 1)
-		if got, want := slate(compact), k.String()+"/1"; got != want {
-			t.Errorf("slate pinned to %v = %q, want %q", k, got, want)
-		}
-	}
-	if got, want := slate(&FlatForestEngine{variant: FlatFLInt}), "branchy/1 branchy/2 branchy/4 branchy/8"; got != want {
-		t.Errorf("FLInt slate = %q, want %q", got, want)
+	if got := fmt.Sprint((&FlatForestEngine{variant: FlatFLInt}).widthCandidates()); got != "[1 2 4 8]" {
+		t.Errorf("FLInt slate = %s, want [1 2 4 8]", got)
 	}
 
-	// Width gates that would pick 8 for a 7 MB arena leave the fused
-	// kernels at width 1; the branchy kernel still takes the gated width.
-	g := DefaultInterleaveGates()
-	g.CompactMin8 = 1 << 20
-	if w, k := g.modeFor(FlatCompact, 7<<20); w != 1 || k != KernelFused {
-		t.Errorf("modeFor(fused gates) = (x%d, %v), want (x1, fused)", w, k)
-	}
-	if simdKernelAvailable() {
-		g.CompactSIMDQuantMin = 1
-		if w, k := g.modeFor(FlatCompact, 7<<20); w != 1 || k != KernelSIMDQuant {
-			t.Errorf("modeFor(simd-quant gates) = (x%d, %v), want (x1, simd-quant)", w, k)
-		}
-	}
-	g.CompactFusedMin, g.CompactSIMDQuantMin = 0, 0
-	if w, k := g.modeFor(FlatCompact, 7<<20); w != 8 || k != KernelBranchy {
-		t.Errorf("modeFor(branchy gates) = (x%d, %v), want (x8, branchy)", w, k)
-	}
-}
-
-// TestSetKernelSemantics pins the knob's contract: non-compact engines
-// have no fused kernel (the call is a no-op), a fresh compact engine
-// runs fused (the default gate table's CompactFusedMin is 1),
-// SetInterleave preserves
-// the kernel, SetKernel preserves the width and marks the source
-// manual, and a pinned kernel survives calibration — under the pin,
-// calibration times widths but never flips the kernel.
-func TestSetKernelSemantics(t *testing.T) {
-	f, d := trainedForest(t, "wine", 5, 4)
-	flat, err := NewFlat(f, FlatFLInt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := flat.SetKernel(KernelFused); got != KernelBranchy {
-		t.Errorf("SetKernel on FlatFLInt adopted %v, want branchy no-op", got)
-	}
-	if flat.Kernel() != KernelBranchy {
-		t.Errorf("FlatFLInt kernel = %v after no-op", flat.Kernel())
-	}
-
-	e, err := NewFlat(f, FlatCompact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Kernel() != KernelFused {
-		t.Fatalf("fresh compact engine kernel = %v, want fused (default CompactFusedMin 1)", e.Kernel())
-	}
-	e.SetInterleave(4)
-	if got := e.SetKernel(KernelFused); got != KernelFused {
-		t.Fatalf("SetKernel(fused) adopted %v", got)
-	}
-	if e.Interleave() != 4 {
-		t.Errorf("SetKernel changed the width to %d", e.Interleave())
-	}
-	if src := e.CalibrationSource(); src != "manual" {
-		t.Errorf("source = %q after SetKernel, want \"manual\"", src)
-	}
-	e.SetInterleave(2)
-	if e.Kernel() != KernelFused {
-		t.Errorf("SetInterleave dropped the kernel to %v", e.Kernel())
-	}
-	for _, k := range []Kernel{KernelFused, KernelBranchy} {
-		e.SetKernel(k)
-		e.CalibrateInterleaveRows(d.Features, 4*time.Millisecond)
-		if e.Kernel() != k {
-			t.Errorf("calibration flipped the pinned kernel %v to %v", k, e.Kernel())
-		}
-	}
-	// KernelAuto clears the pin without touching the installed kernel;
-	// the next calibration is free to choose either.
-	e.SetKernel(KernelFused)
-	if got := e.SetKernel(KernelAuto); got != KernelFused {
-		t.Errorf("SetKernel(auto) returned %v, want the untouched fused kernel", got)
-	}
-	if e.kernelPin.Load() != 0 {
-		t.Error("SetKernel(auto) left the pin set")
-	}
-	e.CalibrateInterleaveRows(d.Features, 4*time.Millisecond)
-	if k := e.Kernel(); k != KernelBranchy && k != KernelFused {
-		t.Errorf("unpinned calibration installed %v", k)
-	}
-}
-
-// TestKernelForBoundaries covers the gate-side kernel selection: the
-// CompactFusedMin byte threshold applies to compact arenas only, and
-// the zero (legacy) and MaxInt (fused-never-won) values both keep the
-// branchy kernel.
-func TestKernelForBoundaries(t *testing.T) {
-	g := InterleaveGates{CompactFusedMin: 1000}
-	for _, tc := range []struct {
-		bytes int
-		want  Kernel
-	}{{0, KernelBranchy}, {999, KernelBranchy}, {1000, KernelFused}, {1 << 30, KernelFused}} {
-		if got := g.kernelFor(FlatCompact, tc.bytes); got != tc.want {
-			t.Errorf("kernelFor(FlatCompact, %d) = %v, want %v", tc.bytes, got, tc.want)
-		}
-		if got := g.kernelFor(FlatFLInt, tc.bytes); got != KernelBranchy {
-			t.Errorf("kernelFor(FlatFLInt, %d) = %v, want branchy", tc.bytes, got)
-		}
-	}
-	for _, min := range []int{0, math.MaxInt} {
-		g := InterleaveGates{CompactFusedMin: min}
-		if got := g.kernelFor(FlatCompact, 1<<30); got != KernelBranchy {
-			t.Errorf("kernelFor with CompactFusedMin=%d = %v, want branchy", min, got)
-		}
-	}
-	// Engines read the threshold at construction.
+	// Gates that would pick 8 for every arena leave the compact engine
+	// at width 1; the FLInt arena takes the gated width.
 	defer SetInterleaveGates(DefaultInterleaveGates())
+	SetInterleaveGates(InterleaveGates{Min2: 1, Min4: 1, Min8: 1})
 	f, _ := trainedForest(t, "wine", 5, 4)
-	SetInterleaveGates(InterleaveGates{Min2: math.MaxInt, Min4: math.MaxInt, Min8: math.MaxInt,
-		CompactMin2: math.MaxInt, CompactMin4: math.MaxInt, CompactMin8: math.MaxInt, CompactFusedMin: 1})
 	e, err := NewFlat(f, FlatCompact)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Kernel() != KernelFused {
-		t.Errorf("construction-time kernel = %v under a 1-byte fused gate, want fused", e.Kernel())
+	if e.Variant() != FlatCompact {
+		t.Fatalf("fell back to %v", e.Variant())
 	}
-}
-
-// TestKernelGatesFromLadder checks the monotone two-threshold
-// derivation: a less aggressive kernel winning above a more aggressive
-// one is noise and must not split either region, and each gate is the
-// smallest ladder size at or above which its kernel (or a more
-// aggressive one) won.
-func TestKernelGatesFromLadder(t *testing.T) {
-	sizes := []int{10, 20, 40, 80}
-	for _, tc := range []struct {
-		bestAt                         []Kernel
-		wantFused, wantQuant, wantSIMD int
-	}{
-		{[]Kernel{KernelBranchy, KernelBranchy, KernelBranchy, KernelBranchy}, math.MaxInt, math.MaxInt, math.MaxInt},
-		{[]Kernel{KernelFused, KernelFused, KernelFused, KernelFused}, 10, math.MaxInt, math.MaxInt},
-		{[]Kernel{KernelBranchy, KernelBranchy, KernelFused, KernelFused}, 40, math.MaxInt, math.MaxInt},
-		{[]Kernel{KernelBranchy, KernelFused, KernelBranchy, KernelFused}, 20, math.MaxInt, math.MaxInt}, // noise forced monotone
-		{[]Kernel{KernelSIMD, KernelSIMD, KernelSIMD, KernelSIMD}, 10, 10, 10},
-		{[]Kernel{KernelBranchy, KernelFused, KernelSIMD, KernelSIMD}, 20, 40, 40},
-		{[]Kernel{KernelBranchy, KernelSIMD, KernelFused, KernelSIMD}, 20, 20, 20}, // fused dip is noise
-		{[]Kernel{KernelFused, KernelBranchy, KernelSIMD, KernelBranchy}, 10, 40, 40},
-		// The hybrid sits between fused and simd in aggressiveness: a
-		// simd-quant win opens the quant gate but not the simd gate.
-		{[]Kernel{KernelSIMDQuant, KernelSIMDQuant, KernelSIMDQuant, KernelSIMDQuant}, 10, 10, math.MaxInt},
-		{[]Kernel{KernelBranchy, KernelFused, KernelSIMDQuant, KernelSIMD}, 20, 40, 80},
-		{[]Kernel{KernelBranchy, KernelSIMDQuant, KernelFused, KernelSIMD}, 20, 20, 80}, // fused dip is noise
-	} {
-		gotFused, gotQuant, gotSIMD := kernelGatesFromLadder(sizes, append([]Kernel(nil), tc.bestAt...))
-		if gotFused != tc.wantFused || gotQuant != tc.wantQuant || gotSIMD != tc.wantSIMD {
-			t.Errorf("kernelGatesFromLadder(%v) = (%d, %d, %d), want (%d, %d, %d)",
-				tc.bestAt, gotFused, gotQuant, gotSIMD, tc.wantFused, tc.wantQuant, tc.wantSIMD)
+	if e.Interleave() != 1 || e.Kernel() != "fused" {
+		t.Errorf("compact engine under x8 gates = (x%d, %s), want (x1, fused)", e.Interleave(), e.Kernel())
+	}
+	if got := e.SetInterleave(4); got != 1 || e.Interleave() != 1 {
+		t.Errorf("compact SetInterleave(4) = %d (engine x%d), want 1", got, e.Interleave())
+	}
+	for _, v := range []FlatVariant{FlatFLInt, FlatFloat32, FlatPrecoded} {
+		a, err := NewFlat(f, v)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-// TestParseKernel pins the name mapping, including the legacy empty
-// string.
-func TestParseKernel(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Kernel
-		ok   bool
-	}{
-		{"", KernelBranchy, true},
-		{"branchy", KernelBranchy, true},
-		{"fused", KernelFused, true},
-		{"simd-quant", KernelSIMDQuant, true},
-		{"simd", KernelSIMD, true},
-		{"avx2", KernelBranchy, false},
-	} {
-		got, err := ParseKernel(tc.in)
-		if (err == nil) != tc.ok || got != tc.want {
-			t.Errorf("ParseKernel(%q) = (%v, %v), want (%v, ok=%v)", tc.in, got, err, tc.want, tc.ok)
+		if a.Kernel() != "branchy" {
+			t.Errorf("%v kernel = %q, want branchy", v, a.Kernel())
 		}
-	}
-	if KernelBranchy.String() != "branchy" || KernelFused.String() != "fused" ||
-		KernelSIMDQuant.String() != "simd-quant" || KernelSIMD.String() != "simd" {
-		t.Errorf("kernel names = %q/%q/%q/%q", KernelBranchy.String(), KernelFused.String(),
-			KernelSIMDQuant.String(), KernelSIMD.String())
+		if v == FlatFLInt && a.Interleave() != 8 {
+			t.Errorf("FLInt engine under x8 gates = x%d, want x8", a.Interleave())
+		}
 	}
 }

@@ -1,7 +1,9 @@
 package treeexec
 
 import (
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -31,42 +33,27 @@ func TestSetInterleaveRounding(t *testing.T) {
 }
 
 // TestWidthForBoundaries exercises the gate table exactly at each
-// threshold and with disabled (math.MaxInt) gates, for both gate sets.
+// threshold and with disabled (math.MaxInt) gates.
 func TestWidthForBoundaries(t *testing.T) {
-	g := InterleaveGates{
-		Min2: 1 << 10, Min4: 1 << 20, Min8: 1 << 30,
-		CompactMin2: 1 << 11, CompactMin4: 1 << 21, CompactMin8: 1 << 31,
-	}
-	for _, tc := range []struct {
-		v           FlatVariant
-		bytes, want int
-	}{
-		{FlatFLInt, 1<<10 - 1, 1}, {FlatFLInt, 1 << 10, 2},
-		{FlatFLInt, 1<<20 - 1, 2}, {FlatFLInt, 1 << 20, 4},
-		{FlatFLInt, 1<<30 - 1, 4}, {FlatFLInt, 1 << 30, 8},
-		{FlatCompact, 1 << 10, 1}, {FlatCompact, 1 << 11, 2},
-		{FlatCompact, 1 << 21, 4}, {FlatCompact, 1 << 31, 8},
-		// The non-compact AoS variants all read the AoS set.
-		{FlatFloat32, 1 << 10, 2}, {FlatPrecoded, 1 << 20, 4},
+	g := InterleaveGates{Min2: 1 << 10, Min4: 1 << 20, Min8: 1 << 30}
+	for _, tc := range []struct{ bytes, want int }{
+		{1<<10 - 1, 1}, {1 << 10, 2},
+		{1<<20 - 1, 2}, {1 << 20, 4},
+		{1<<30 - 1, 4}, {1 << 30, 8},
 	} {
-		if got := g.widthFor(tc.v, tc.bytes); got != tc.want {
-			t.Errorf("widthFor(%v, %d) = %d, want %d", tc.v, tc.bytes, got, tc.want)
+		if got := g.widthFor(tc.bytes); got != tc.want {
+			t.Errorf("widthFor(%d) = %d, want %d", tc.bytes, got, tc.want)
 		}
 	}
 
-	disabled := InterleaveGates{
-		Min2: math.MaxInt, Min4: math.MaxInt, Min8: math.MaxInt,
-		CompactMin2: math.MaxInt, CompactMin4: math.MaxInt, CompactMin8: math.MaxInt,
-	}
-	for _, v := range []FlatVariant{FlatFLInt, FlatCompact} {
-		if got := disabled.widthFor(v, 1<<40); got != 1 {
-			t.Errorf("disabled gates: widthFor(%v) = %d, want 1", v, got)
-		}
+	disabled := InterleaveGates{Min2: math.MaxInt, Min4: math.MaxInt, Min8: math.MaxInt}
+	if got := disabled.widthFor(1 << 40); got != 1 {
+		t.Errorf("disabled gates: widthFor = %d, want 1", got)
 	}
 
 	// Partially disabled: only the 4-way step enabled.
 	partial := InterleaveGates{Min2: math.MaxInt, Min4: 1 << 20, Min8: math.MaxInt}
-	if got := partial.widthFor(FlatFLInt, 1<<25); got != 4 {
+	if got := partial.widthFor(1 << 25); got != 4 {
 		t.Errorf("partial gates: widthFor = %d, want 4", got)
 	}
 }
@@ -90,23 +77,20 @@ func TestGatesFromLadder(t *testing.T) {
 	}
 }
 
-// TestCalibrateGatesMonotone asserts that every gate set Calibrate
+// TestCalibrateGatesMonotone asserts that the gate set Calibrate
 // derives is monotone non-decreasing over the width ladder and made of
 // ladder sizes or MaxInt.
 func TestCalibrateGatesMonotone(t *testing.T) {
 	defer SetInterleaveGates(DefaultInterleaveGates())
 	g := Calibrate(60 * time.Millisecond)
 	valid := map[int]bool{256 << 10: true, 1 << 20: true, 4 << 20: true, 16 << 20: true, math.MaxInt: true}
-	for _, v := range []int{g.Min2, g.Min4, g.Min8, g.CompactMin2, g.CompactMin4, g.CompactMin8} {
+	for _, v := range []int{g.Min2, g.Min4, g.Min8} {
 		if !valid[v] {
 			t.Errorf("gate %d is not a ladder size or MaxInt", v)
 		}
 	}
 	if g.Min2 > g.Min4 || g.Min4 > g.Min8 {
 		t.Errorf("AoS gates not monotone: %+v", g)
-	}
-	if g.CompactMin2 > g.CompactMin4 || g.CompactMin4 > g.CompactMin8 {
-		t.Errorf("compact gates not monotone: %+v", g)
 	}
 }
 
@@ -181,7 +165,7 @@ func TestRepresentativeRowsExerciseBothBranches(t *testing.T) {
 		maxR[p] = -1
 	}
 	for _, r := range crows {
-		ce.quantizeBlock([][]float32{r}, q)
+		ce.quantizeBlockFused([][]float32{r}, q)
 		for p, rank := range q {
 			if int(rank) < minR[p] {
 				minR[p] = int(rank)
@@ -375,7 +359,7 @@ func TestCalibrateTinyBudgetBound(t *testing.T) {
 	out := make([]int32, len(rows))
 	s := e.newScratch()
 	start := time.Now()
-	e.predictBlockWidth(rows, out, s, 1, KernelBranchy)
+	e.predictBlockWidth(rows, out, s, 1)
 	onePass := time.Since(start)
 
 	budget := onePass / 8 // guaranteed smaller than any single pass
@@ -430,26 +414,63 @@ func TestCalibrationSourceTransitions(t *testing.T) {
 	}
 }
 
-// TestSyntheticCompactEngineConsistent guards the Calibrate ladder's
-// compact half: the synthetic SoA arena must be structurally sound —
-// identical predictions at every interleave width and under all three
-// walk kernels, since the ladder times the fused and SIMD kernels on
-// it too.
-func TestSyntheticCompactEngineConsistent(t *testing.T) {
-	e := syntheticCompactEngine(64 << 10)
-	rows := e.representativeRows(48, 0x42)
-	s := e.newScratch()
-	want := make([]int32, len(rows))
-	e.predictBlockWidth(rows, want, s, 1, KernelBranchy)
-	got := make([]int32, len(rows))
-	for _, k := range []Kernel{KernelBranchy, KernelFused, KernelSIMD} {
-		for _, w := range []int{1, 2, 4, 8} {
-			e.predictBlockWidth(rows, got, s, w, k)
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%v width %d row %d: got %d want %d", k, w, i, got[i], want[i])
+// TestModeTransitionsUnderLiveTraffic cycles the FLInt arena's
+// installed width through 1, 2, 4 and 8 while three goroutines Predict
+// through one Batcher, asserting bit-identical answers throughout. Run
+// under -race (CI does) it pins that SetInterleave's store and the
+// workers' per-block load of the width are race-free.
+func TestModeTransitionsUnderLiveTraffic(t *testing.T) {
+	f, d := trainedForest(t, "sensorless", 6, 6)
+	e, err := NewFlat(f, FlatFLInt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]int32, d.Len())
+	for i, x := range d.Features {
+		want[i] = f.Predict(x)
+	}
+	b := NewBatcher(e, 3, 13)
+	defer b.Close()
+
+	stop := make(chan struct{})
+	errc := make(chan error, 3)
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out := make([]int32, d.Len())
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				b.Predict(d.Features, out)
+				for i := range out {
+					if out[i] != want[i] {
+						select {
+						case errc <- fmt.Errorf("width transition mismatch at row %d: got %d want %d", i, out[i], want[i]):
+						default:
+						}
+						return
+					}
 				}
 			}
+		}()
+	}
+	for cycle := 0; cycle < 30; cycle++ {
+		for _, w := range interleaveWidths {
+			if got := e.SetInterleave(w); got != w {
+				t.Errorf("SetInterleave(%d) installed %d", w, got)
+			}
 		}
+	}
+	close(stop)
+	wg.Wait()
+	select {
+	case err := <-errc:
+		t.Fatal(err)
+	default:
 	}
 }

@@ -33,7 +33,7 @@ import (
 // retired flag, and Close raises the flag before draining the counter —
 // the same two-sided protocol (one atomic publication against one
 // atomic retirement, both sequentially consistent) that the engine's
-// single-atomic (width, kernel) mode install uses one level down, so a
+// single-atomic width install uses one level down, so a
 // swap can flip the registry pointer and know that every caller either
 // completed against the old model or observed ErrModelRetired and
 // retried against the new one. Nothing is ever dropped mid-flight.
@@ -124,7 +124,7 @@ func (m *ServedModel) Predict(rows [][]float32, out []int32) ([]int32, error) {
 	return res, nil
 }
 
-// Recalibrate re-times the engine's (width, kernel) mode on the
+// Recalibrate re-times the engine's interleave width on the
 // reservoir's sampled traffic; see Batcher.Recalibrate.
 func (m *ServedModel) Recalibrate(budget time.Duration) int { return m.b.Recalibrate(budget) }
 
@@ -153,7 +153,7 @@ func (m *ServedModel) SaveCalibration(w io.Writer) error {
 }
 
 // WarmStart resumes a previous deployment's serving state from a
-// decoded CalibrationRecord: the record's (width, kernel) mode is
+// decoded CalibrationRecord: the record's width is
 // validated against the engine and installed, the reservoir is seeded
 // with the record's sampled rows, and — when the record carries a drift
 // policy and no detector is armed yet — the detector is re-armed with
@@ -225,7 +225,7 @@ func (m *ServedModel) Stats() ModelStats {
 		NumFeatures: m.e.numFeatures,
 		NumClasses:  m.e.numClasses,
 		Width:       m.e.Interleave(),
-		Kernel:      m.e.Kernel().String(),
+		Kernel:      m.e.Kernel(),
 		CalibSource: m.e.CalibrationSource(),
 		Rows:        m.rows.Load(),
 		Batches:     m.batches.Load(),

@@ -20,10 +20,11 @@ import (
 // (FLInt sign-resolved compare, hardware float compare, total-order
 // key compare, quantized rank compare), so the traced direction at
 // every node is the decision the serving kernels take — not a float
-// re-derivation that could disagree in the -0.0/NaN corners. All batch
-// kernels (branchy, fused, simd, at every interleave width) are
-// bit-identical to the single-row walk by construction and by test, so
-// a path traced here is the path any serving configuration walked.
+// re-derivation that could disagree in the -0.0/NaN corners. Every
+// batch walk (each arena, at every interleave width) is bit-identical
+// to the single-row walk by construction and by test, so a path traced
+// here is the path any serving configuration walked. On the compact
+// arena the trace steps the walk's own node words (nodes64, fusedStep).
 
 // PathStep records one inner-node decision of a forest walk: the node
 // visited, the input column it examined, the split threshold it
@@ -37,7 +38,7 @@ import (
 // split values), so core.PrecodeSplit32(Threshold) reproduces the key
 // the kernel compared against. Rank is the threshold's index in the
 // feature's sorted distinct cut table — the quantized-rank space the
-// compact kernels walk in — and is 0 for the AoS variants, which keep
+// compact walk runs in — and is 0 for the AoS variants, which keep
 // no cut tables.
 type PathStep struct {
 	Tree      int     // tree index within the forest
@@ -52,9 +53,9 @@ type PathStep struct {
 // each inner-node decision to buf (which may be nil; pass the returned
 // slice back in to amortize its allocation across rows) and returning
 // the steps together with the majority-vote class. The class is
-// bit-consistent with Predict for every (kernel, width) serving mode:
-// the trace drives the same per-variant comparison the kernels execute,
-// and those are bit-identical across kernels by contract.
+// bit-consistent with Predict at every serving width: the trace drives
+// the same per-variant comparison the walks execute, and those are
+// bit-identical across widths by contract.
 //
 // Leaf-only trees contribute a vote but no steps. The per-row cost is
 // one full forest walk plus a step append per inner node visited; keep
@@ -94,35 +95,24 @@ func (e *FlatForestEngine) DecisionPath(x []float32, buf []PathStep) ([]PathStep
 	return buf, rf.Argmax(counts)
 }
 
-// traceCompact is classifyCompact with step recording: the identical
-// rank-space predicate, plus the threshold decoded from the cut table
-// the rank indexes.
+// traceCompact is classifyCompactFused with step recording: the same
+// node words and fusedStep, plus each step's rank-space predicate and
+// the threshold decoded from the cut table the rank indexes.
 func (e *FlatForestEngine) traceCompact(q []uint16, ti int, root int32, buf []PathStep) ([]PathStep, int32) {
-	if root < 0 {
-		return buf, ^root
-	}
-	keys, feats, kids := e.keys16, e.feats16, e.kids
-	base := int(root)
-	rel := 0
+	base, rel := laneStart(root)
 	for rel >= 0 {
 		i := base + rel
-		w := kids[i]
-		p := feats[i]
-		rank := keys[i]
-		le := q[p] <= rank
+		w := e.nodes64[i]
+		rank, p := uint16(w), uint16(w>>16)
 		buf = append(buf, PathStep{
 			Tree:      ti,
 			Node:      int32(i),
 			Feature:   e.prunedOrig[p],
 			Threshold: math.Float32frombits(ieee754.FromTotalOrderKey32(e.cuts[e.cutLo[p]+int32(rank)])),
 			Rank:      rank,
-			Right:     !le,
+			Right:     q[p] > rank,
 		})
-		if le {
-			rel = int(int16(w))
-		} else {
-			rel = int(int16(w >> 16))
-		}
+		rel = fusedStep(w, q)
 	}
 	return buf, int32(^rel)
 }

@@ -40,18 +40,16 @@ func (e *FlatForestEngine) Fingerprint() ArenaFingerprint {
 
 // CalibrationRecord is the persisted calibration state of one engine:
 // the arena fingerprint it was measured on, the host-wide interleave
-// gate table, the engine's chosen width and walk kernel, and optionally
-// a sample of the traffic that mode was measured against (a
-// Batcher.SampleSnapshot), so the next deployment can seed its
-// reservoir with real rows. Kernel is "branchy", "fused", "simd-quant"
-// or "simd"; records written before the kernel axis existed carry no
-// field and load as branchy — the only kernel those deployments ever
-// ran. A "simd" or "simd-quant" record loaded on a host without the
-// vector ISA installs as branchy instead (see LoadCalibration).
-// SIMDRefill is the dual-group walk's calibrated lane-compaction
-// threshold; it accompanies width-16 simd records (0 — the field's
-// absence — means the kernel default) and records from before the
-// refill axis load unchanged.
+// gate table, the engine's chosen width and the walk it names (Kernel:
+// "fused" on the compact arena, "branchy" on the AoS arenas), and
+// optionally a sample of the traffic that width was measured against
+// (a Batcher.SampleSnapshot), so the next deployment can seed its
+// reservoir with real rows. Records from before the compact arena had
+// one walk may name a retired compact mode — kernel "" (before the
+// kernel field existed), "branchy", "simd-quant" or "simd", a width of
+// 2, 4, 8 or 16, or a simd_refill — and still load (see
+// LoadCalibration); fields the record type no longer has, such as
+// simd_refill and the compact_* gate keys, are ignored on decode.
 // Records written by a Batcher with drift detection armed additionally
 // carry the detection policy (Drift), so the redeployment that seeds
 // its reservoir from Rows can re-arm the same detector with
@@ -69,7 +67,6 @@ type CalibrationRecord struct {
 	Gates       InterleaveGates  `json:"gates"`
 	Width       int              `json:"width"`
 	Kernel      string           `json:"kernel,omitempty"`
-	SIMDRefill  int              `json:"simd_refill,omitempty"`
 	Rows        [][]float32      `json:"rows,omitempty"`
 	Drift       *DriftConfig     `json:"drift,omitempty"`
 }
@@ -88,8 +85,8 @@ func finiteRow(row []float32) bool {
 
 // SaveCalibration writes the engine's calibration state as an indented
 // JSON CalibrationRecord: fingerprint, the current host-wide gate table
-// (CurrentInterleaveGates), the engine's current interleave width, and
-// the given sample rows — pass a Batcher.SampleSnapshot to persist
+// (CurrentInterleaveGates), the engine's current interleave width and
+// walk, and the given sample rows — pass a Batcher.SampleSnapshot to persist
 // measured traffic, or nil to persist gates and width alone. Rows whose
 // length is not the engine's feature width, or that contain non-finite
 // values (JSON cannot carry NaN or infinities), are skipped.
@@ -109,13 +106,11 @@ func encodeCalibrationRecord(w io.Writer, rec *CalibrationRecord) error {
 // calibrationRecord builds the engine's persistable state; the filtered
 // row handling is shared between engine- and Batcher-level saves.
 func (e *FlatForestEngine) calibrationRecord(rows [][]float32) CalibrationRecord {
-	m := e.mode.Load() // one load, so width/kernel/refill are a consistent tuple
 	rec := CalibrationRecord{
 		Fingerprint: e.Fingerprint(),
 		Gates:       CurrentInterleaveGates(),
-		Width:       modeWidth(m),
-		Kernel:      modeKernel(m).String(),
-		SIMDRefill:  int(modeRefill(m)),
+		Width:       e.Interleave(),
+		Kernel:      e.Kernel(),
 	}
 	for _, r := range rows {
 		if len(r) == e.numFeatures && finiteRow(r) {
@@ -153,8 +148,7 @@ func (b *Batcher) servingRecord() CalibrationRecord {
 // sane: no negative thresholds (math.MaxInt — "width disabled" — is
 // valid).
 func validGates(g InterleaveGates) bool {
-	for _, v := range []int{g.Min2, g.Min4, g.Min8, g.CompactMin2, g.CompactMin4, g.CompactMin8,
-		g.CompactFusedMin, g.CompactSIMDQuantMin, g.CompactSIMDMin, g.CompactSIMD16Min} {
+	for _, v := range []int{g.Min2, g.Min4, g.Min8} {
 		if v < 0 {
 			return false
 		}
@@ -164,8 +158,8 @@ func validGates(g InterleaveGates) bool {
 
 // LoadCalibration reads a CalibrationRecord written by SaveCalibration,
 // validates it against this engine's arena fingerprint, and installs
-// the persisted width and walk kernel on the engine (as one atomic
-// pair, so loading while a Batcher serves is safe). The record is returned so the caller can
+// the persisted width on the engine (one atomic store, so loading while
+// a Batcher serves is safe). The record is returned so the caller can
 // seed a Batcher's reservoir with its Rows (Batcher.SeedSample) and —
 // when the record was measured on this same hardware — install its
 // gate table host-wide with SetInterleaveGates(rec.Gates). That last
@@ -174,8 +168,13 @@ func validGates(g InterleaveGates) bool {
 // default) table silently clobber gates this process already measured.
 //
 // A record measured on a different arena (mismatched fingerprint), an
-// unsupported width, or a malformed gate table is rejected without
-// installing anything.
+// unsupported width, an unknown kernel name, a kernel other than
+// branchy (or width 16) on an AoS arena, or a malformed gate table is
+// rejected without installing anything. A compact record naming a
+// retired mode — any kernel but "fused", or any width but 1 — loads as
+// the compact arena's one walk at width 1, and CalibrationSource
+// reports "persisted-degraded": the record's evidence was about a walk
+// the engine no longer has.
 func (e *FlatForestEngine) LoadCalibration(r io.Reader) (*CalibrationRecord, error) {
 	rec, err := decodeCalibrationRecord(r)
 	if err != nil {
@@ -200,8 +199,7 @@ func decodeCalibrationRecord(r io.Reader) (*CalibrationRecord, error) {
 }
 
 // installCalibration validates a decoded record against this engine's
-// arena and installs its (width, kernel) mode — the second half of
-// LoadCalibration.
+// arena and installs its width — the second half of LoadCalibration.
 func (e *FlatForestEngine) installCalibration(rec *CalibrationRecord) error {
 	if got, want := rec.Fingerprint, e.Fingerprint(); got != want {
 		return fmt.Errorf("treeexec: calibration fingerprint %+v does not match engine arena %+v", got, want)
@@ -211,21 +209,20 @@ func (e *FlatForestEngine) installCalibration(rec *CalibrationRecord) error {
 	default:
 		return fmt.Errorf("treeexec: persisted interleave width %d is not a supported width (1, 2, 4, 8, 16)", rec.Width)
 	}
-	kernel, err := ParseKernel(rec.Kernel) // "" (a pre-kernel record) parses as branchy
-	if err != nil {
-		return fmt.Errorf("treeexec: persisted record: %w", err)
+	switch rec.Kernel {
+	case "", "branchy", "fused", "simd-quant", "simd":
+	default:
+		return fmt.Errorf("treeexec: persisted record: unknown kernel %q (branchy|fused|simd-quant|simd)", rec.Kernel)
 	}
-	if kernel != KernelBranchy && e.variant != FlatCompact {
-		return fmt.Errorf("treeexec: persisted %v kernel is only valid for the compact arena, engine is %v", kernel, e.variant)
-	}
-	if rec.Width == 16 && kernel != KernelSIMD {
-		return fmt.Errorf("treeexec: persisted width 16 is only valid with the simd kernel, record has %q", rec.Kernel)
-	}
-	if rec.SIMDRefill < 0 || rec.SIMDRefill > 16 {
-		return fmt.Errorf("treeexec: persisted simd_refill %d out of range (0..16)", rec.SIMDRefill)
-	}
-	if rec.SIMDRefill != 0 && kernel != KernelSIMD {
-		return fmt.Errorf("treeexec: persisted simd_refill only accompanies the simd kernel, record has %q", rec.Kernel)
+	if e.variant != FlatCompact {
+		// Only the compact arena ever ran a kernel other than branchy,
+		// and only its retired SIMD walk ran width 16.
+		if rec.Kernel != "" && rec.Kernel != "branchy" {
+			return fmt.Errorf("treeexec: persisted %q kernel is only valid for the compact arena, engine is %v", rec.Kernel, e.variant)
+		}
+		if rec.Width == 16 {
+			return fmt.Errorf("treeexec: persisted width 16 is only valid for the compact arena, engine is %v", e.variant)
+		}
 	}
 	if !validGates(rec.Gates) {
 		return fmt.Errorf("treeexec: persisted gate table has negative thresholds: %+v", rec.Gates)
@@ -242,24 +239,14 @@ func (e *FlatForestEngine) installCalibration(rec *CalibrationRecord) error {
 			return fmt.Errorf("treeexec: persisted drift config: %w", err)
 		}
 	}
-	source := int32(calibSourcePersisted)
-	width, refill := rec.Width, int32(rec.SIMDRefill)
-	if (kernel == KernelSIMD || kernel == KernelSIMDQuant) && !simdKernelAvailable() {
-		// The record was measured on a host whose vector ISA this one
-		// lacks. Installing a vector kernel anyway would serve through
-		// the portable fallback — correct, but slower than the scalar
-		// kernels the calibration ladder rejected in its favor on the
-		// other machine. Downgrade to branchy (the kernel every host
-		// runs natively) at a scalar width and surface the downgrade
-		// via CalibrationSource.
-		kernel = KernelBranchy
-		refill = 0
-		if width == 16 {
-			width = 8
+	source, width := int32(calibSourcePersisted), rec.Width
+	if e.variant == FlatCompact {
+		if rec.Kernel != "fused" || width != 1 {
+			source = calibSourceDegraded
 		}
-		source = calibSourceDegraded
+		width = 1
 	}
-	e.mode.Store(packModeRefill(width, kernel, refill))
+	e.width.Store(int32(width))
 	e.calibSource.Store(source)
 	return nil
 }
@@ -279,7 +266,10 @@ func WriteGatesJSON(w io.Writer, g InterleaveGates) error {
 // all-zero table are rejected — so pointing a tool's gates flag at some
 // other JSON document errors out instead of silently installing a
 // zero-value table that disables interleaving process-wide (Calibrate
-// never emits zeros: a disabled width is math.MaxInt, not 0).
+// never emits zeros: a disabled width is math.MaxInt, not 0). A gate
+// file from before the compact arena had one walk carries compact_*
+// keys and is rejected the same way, with an error naming the key;
+// Calibrate writes a new one.
 func ReadGatesJSON(r io.Reader) (InterleaveGates, error) {
 	var g InterleaveGates
 	dec := json.NewDecoder(r)

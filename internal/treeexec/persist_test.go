@@ -18,15 +18,11 @@ import (
 func TestSaveLoadCalibrationRoundTrip(t *testing.T) {
 	defer SetInterleaveGates(DefaultInterleaveGates())
 	f, d := trainedForest(t, "magic", 6, 5)
-	e, err := NewFlat(f, FlatCompact)
+	e, err := NewFlat(f, FlatFLInt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gates := InterleaveGates{
-		Min2: 123456, Min4: 4 << 20, Min8: math.MaxInt,
-		CompactMin2: 1 << 10, CompactMin4: math.MaxInt, CompactMin8: math.MaxInt,
-		CompactFusedMin: 2 << 20,
-	}
+	gates := InterleaveGates{Min2: 123456, Min4: 4 << 20, Min8: math.MaxInt}
 	SetInterleaveGates(gates)
 	e.SetInterleave(4)
 
@@ -38,7 +34,7 @@ func TestSaveLoadCalibrationRoundTrip(t *testing.T) {
 
 	// A different process: defaults installed, fresh engine, same arena.
 	SetInterleaveGates(DefaultInterleaveGates())
-	e2, err := NewFlat(f, FlatCompact)
+	e2, err := NewFlat(f, FlatFLInt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,28 +166,28 @@ func itoa(v int) string {
 	return "8"
 }
 
-// TestCalibrationKernelRoundTrip covers the kernel half of the
-// persisted mode: a fused record round-trips onto a fresh engine as the
-// (width, kernel) pair, a record from before the kernel axis existed
-// (no kernel field) loads as branchy, an unknown kernel name is
-// rejected, and a fused record is rejected by every arena variant that
-// has no fused kernel.
+// TestCalibrationKernelRoundTrip covers the walk named by a persisted
+// record. A compact engine saves and reloads "fused" at width 1 as
+// "persisted". Records from before the compact arena had one walk load
+// as fused x1 with source "persisted-degraded": every fixture below
+// carries the retired compact_* gate keys, and each names a retired
+// kernel ("" — the field absent — "branchy", "simd-quant" or "simd"),
+// a retired width (2, 4, 8 or 16) or a simd_refill. An unknown kernel
+// is rejected; so are a non-branchy kernel and width 16 on an AoS
+// engine, whose legacy branchy records still load at their width.
 func TestCalibrationKernelRoundTrip(t *testing.T) {
 	f, _ := trainedForest(t, "magic", 6, 5)
 	e, err := NewFlat(f, FlatCompact)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetInterleave(4)
-	e.SetKernel(KernelFused)
 	var buf bytes.Buffer
 	if err := e.SaveCalibration(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), `"kernel": "fused"`) {
-		t.Fatalf("record does not carry the kernel: %s", buf.String())
+	if !strings.Contains(buf.String(), `"kernel": "fused"`) || !strings.Contains(buf.String(), `"width": 1`) {
+		t.Fatalf("compact record does not name fused x1: %s", buf.String())
 	}
-
 	e2, err := NewFlat(f, FlatCompact)
 	if err != nil {
 		t.Fatal(err)
@@ -200,180 +196,94 @@ func TestCalibrationKernelRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Kernel != "fused" || e2.Kernel() != KernelFused || e2.Interleave() != 4 {
-		t.Errorf("loaded mode = (x%d, %v) from record kernel %q, want (x4, fused)",
-			e2.Interleave(), e2.Kernel(), rec.Kernel)
+	if rec.Kernel != "fused" || e2.Interleave() != 1 || e2.CalibrationSource() != "persisted" {
+		t.Errorf("fused record loaded (x%d, %q), want (x1, persisted)", e2.Interleave(), e2.CalibrationSource())
 	}
 
-	// A pre-kernel record: re-marshal without the field. Legacy
-	// deployments only ever ran branchy, so that is what the absent
-	// field must mean.
-	var stripped struct {
-		Fingerprint ArenaFingerprint `json:"fingerprint"`
-		Gates       InterleaveGates  `json:"gates"`
-		Width       int              `json:"width"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &stripped); err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := json.Marshal(stripped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e3, err := NewFlat(f, FlatCompact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e3.SetKernel(KernelFused) // must be overwritten by the load
-	rec, err = e3.LoadCalibration(bytes.NewReader(legacy))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Kernel != "" || e3.Kernel() != KernelBranchy {
-		t.Errorf("legacy record loaded kernel %v (field %q), want branchy", e3.Kernel(), rec.Kernel)
-	}
-
-	// A "simd" record: installs as simd where the vector ISA is native,
-	// downgrades to branchy everywhere else — and the source says which
-	// happened.
-	simdRec := strings.Replace(buf.String(), `"kernel": "fused"`, `"kernel": "simd"`, 1)
-	if _, err := e2.LoadCalibration(strings.NewReader(simdRec)); err != nil {
-		t.Fatal(err)
-	}
-	if simdKernelAvailable() {
-		if e2.Kernel() != KernelSIMD || e2.CalibrationSource() != "persisted" {
-			t.Errorf("simd record on a native host loaded (%v, %q), want (simd, persisted)",
-				e2.Kernel(), e2.CalibrationSource())
+	// record renders a record for fp in the shape older code wrote:
+	// the gate table with its compact_* keys, then the mode fields.
+	record := func(fp ArenaFingerprint, mode string) string {
+		fpj, err := json.Marshal(fp)
+		if err != nil {
+			t.Fatal(err)
 		}
-	} else {
-		if e2.Kernel() != KernelBranchy || e2.CalibrationSource() != "persisted-degraded" {
-			t.Errorf("simd record without the ISA loaded (%v, %q), want (branchy, persisted-degraded)",
-				e2.Kernel(), e2.CalibrationSource())
-		}
+		return `{"fingerprint": ` + string(fpj) + `, "gates": {"min2": 1048576, "min4": 4194304, "min8": 16777216,
+			"compact_min2": 1048576, "compact_min4": 4194304, "compact_min8": 16777216,
+			"compact_fused_min": 1, "compact_simd_min": 9223372036854775807,
+			"compact_simdquant_min": 9223372036854775807, "compact_simd16_min": 9223372036854775807}` + mode + `}`
 	}
-
-	bad := strings.Replace(buf.String(), `"kernel": "fused"`, `"kernel": "turbo"`, 1)
-	before := e2.Kernel()
-	if _, err := e2.LoadCalibration(strings.NewReader(bad)); err == nil {
-		t.Error("unknown kernel name accepted")
-	}
-	if e2.Kernel() != before {
-		t.Error("rejected load still changed the kernel")
-	}
-
-	// A fused record against a non-compact arena: the fingerprint check
-	// already rejects cross-variant loads, so forge a matching flat
-	// fingerprint to reach the kernel check.
-	fe, err := NewFlat(f, FlatFLInt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var flatRec bytes.Buffer
-	if err := fe.SaveCalibration(&flatRec, nil); err != nil {
-		t.Fatal(err)
-	}
-	forged := strings.Replace(flatRec.String(), `"kernel": "branchy"`, `"kernel": "fused"`, 1)
-	if _, err := fe.LoadCalibration(strings.NewReader(forged)); err == nil {
-		t.Error("fused kernel accepted for a non-compact arena")
-	}
-}
-
-// TestCalibrationSIMD16RoundTrip covers the width-16/refill axes of the
-// persisted mode: a dual-group simd record round-trips the full (width,
-// kernel, refill) tuple, downgrades to a scalar mode on hosts without
-// the vector ISA, and malformed combinations — width 16 under a scalar
-// kernel, a refill outside 0..16, a refill on a non-simd record — are
-// rejected without installing anything.
-func TestCalibrationSIMD16RoundTrip(t *testing.T) {
-	f, _ := trainedForest(t, "magic", 6, 5)
-	e, err := NewFlat(f, FlatCompact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.mode.Store(packModeRefill(16, KernelSIMD, 3))
-	var buf bytes.Buffer
-	if err := e.SaveCalibration(&buf, nil); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `"width": 16`) ||
-		!strings.Contains(buf.String(), `"kernel": "simd"`) ||
-		!strings.Contains(buf.String(), `"simd_refill": 3`) {
-		t.Fatalf("record does not carry the full mode tuple: %s", buf.String())
-	}
-
-	e2, err := NewFlat(f, FlatCompact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := e2.LoadCalibration(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Width != 16 || rec.Kernel != "simd" || rec.SIMDRefill != 3 {
-		t.Errorf("decoded record = (%d, %q, %d), want (16, simd, 3)", rec.Width, rec.Kernel, rec.SIMDRefill)
-	}
-	if simdKernelAvailable() {
-		m := e2.mode.Load()
-		if modeWidth(m) != 16 || modeKernel(m) != KernelSIMD || modeRefill(m) != 3 {
-			t.Errorf("installed mode = (%d, %v, %d), want (16, simd, 3)",
-				modeWidth(m), modeKernel(m), modeRefill(m))
-		}
-	} else {
-		// No native ISA: the whole vector mode degrades to a scalar one —
-		// branchy at width 8, refill cleared.
-		m := e2.mode.Load()
-		if modeWidth(m) != 8 || modeKernel(m) != KernelBranchy || modeRefill(m) != 0 {
-			t.Errorf("degraded mode = (%d, %v, %d), want (8, branchy, 0)",
-				modeWidth(m), modeKernel(m), modeRefill(m))
-		}
-		if e2.CalibrationSource() != "persisted-degraded" {
-			t.Errorf("source = %q, want persisted-degraded", e2.CalibrationSource())
-		}
-	}
-
-	// A simd-quant record degrades the same way (and at its scalar width).
-	e.mode.Store(packMode(8, KernelSIMDQuant))
-	var qbuf bytes.Buffer
-	if err := e.SaveCalibration(&qbuf, nil); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(qbuf.String(), `"kernel": "simd-quant"`) {
-		t.Fatalf("record does not carry the simd-quant kernel: %s", qbuf.String())
-	}
-	if _, err := e2.LoadCalibration(bytes.NewReader(qbuf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	if simdKernelAvailable() {
-		if e2.Kernel() != KernelSIMDQuant || e2.Interleave() != 8 {
-			t.Errorf("simd-quant record loaded (%v, x%d), want (simd-quant, x8)", e2.Kernel(), e2.Interleave())
-		}
-	} else if e2.Kernel() != KernelBranchy {
-		t.Errorf("simd-quant record without the ISA loaded %v, want branchy", e2.Kernel())
-	}
-
-	reject := func(t *testing.T, doc, what string) {
+	load := func(e *FlatForestEngine, doc string) error {
 		t.Helper()
+		_, err := e.LoadCalibration(strings.NewReader(doc))
+		return err
+	}
+	for _, tc := range []struct{ mode, source string }{
+		{`, "width": 1, "kernel": "fused"`, "persisted"},
+		{`, "width": 1`, "persisted-degraded"},
+		{`, "width": 1, "kernel": ""`, "persisted-degraded"},
+		{`, "width": 1, "kernel": "branchy"`, "persisted-degraded"},
+		{`, "width": 8, "kernel": "branchy"`, "persisted-degraded"},
+		{`, "width": 1, "kernel": "simd-quant"`, "persisted-degraded"},
+		{`, "width": 4, "kernel": "simd"`, "persisted-degraded"},
+		{`, "width": 16, "kernel": "simd", "simd_refill": 6`, "persisted-degraded"},
+		{`, "width": 2, "kernel": "fused"`, "persisted-degraded"},
+		{`, "width": 4, "kernel": "fused"`, "persisted-degraded"},
+		{`, "width": 8, "kernel": "fused"`, "persisted-degraded"},
+	} {
 		fresh, err := NewFlat(f, FlatCompact)
 		if err != nil {
 			t.Fatal(err)
 		}
-		before := fresh.mode.Load()
-		if _, err := fresh.LoadCalibration(strings.NewReader(doc)); err == nil {
-			t.Errorf("%s accepted", what)
+		if err := load(fresh, record(fresh.Fingerprint(), tc.mode)); err != nil {
+			t.Errorf("record%s rejected: %v", tc.mode, err)
+			continue
 		}
-		if fresh.mode.Load() != before {
-			t.Errorf("rejected %s still changed the mode", what)
+		if fresh.Interleave() != 1 || fresh.CalibrationSource() != tc.source {
+			t.Errorf("record%s loaded (x%d, %q), want (x1, %q)", tc.mode, fresh.Interleave(), fresh.CalibrationSource(), tc.source)
+		}
+		if got := fresh.PredictBatch([][]float32{make([]float32, f.NumFeatures)}, nil, 1, 0); got[0] != f.Predict(make([]float32, f.NumFeatures)) {
+			t.Errorf("record%s: engine mispredicts after the load", tc.mode)
 		}
 	}
-	reject(t, strings.Replace(buf.String(), `"kernel": "simd"`, `"kernel": "fused"`, 1),
-		"width-16 record under a scalar kernel")
-	reject(t, strings.Replace(buf.String(), `"simd_refill": 3`, `"simd_refill": 17`, 1),
-		"refill above 16")
-	reject(t, strings.Replace(buf.String(), `"simd_refill": 3`, `"simd_refill": -1`, 1),
-		"negative refill")
-	fusedRefill := strings.Replace(buf.String(), `"width": 16`, `"width": 8`, 1)
-	reject(t, strings.Replace(fusedRefill, `"kernel": "simd"`, `"kernel": "fused"`, 1),
-		"refill on a non-simd record")
+
+	before := e2.CalibrationSource()
+	if err := load(e2, record(e2.Fingerprint(), `, "width": 1, "kernel": "turbo"`)); err == nil {
+		t.Error("unknown kernel name accepted")
+	}
+	if e2.CalibrationSource() != before {
+		t.Error("rejected load still changed the calibration source")
+	}
+
+	// AoS engines: a legacy branchy record loads at its width; a
+	// compact-only kernel or width 16 is rejected without installing.
+	fe, err := NewFlat(f, FlatFLInt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []string{`, "width": 4`, `, "width": 4, "kernel": "branchy"`} {
+		if err := load(fe, record(fe.Fingerprint(), mode)); err != nil {
+			t.Fatalf("AoS record%s rejected: %v", mode, err)
+		}
+		if fe.Interleave() != 4 || fe.CalibrationSource() != "persisted" || fe.Kernel() != "branchy" {
+			t.Errorf("AoS record%s loaded (x%d, %q, %s), want (x4, persisted, branchy)",
+				mode, fe.Interleave(), fe.CalibrationSource(), fe.Kernel())
+		}
+	}
+	fe.SetInterleave(2)
+	for _, mode := range []string{
+		`, "width": 1, "kernel": "fused"`,
+		`, "width": 8, "kernel": "simd-quant"`,
+		`, "width": 8, "kernel": "simd"`,
+		`, "width": 16, "kernel": "simd", "simd_refill": 6`,
+		`, "width": 16, "kernel": "branchy"`,
+	} {
+		if err := load(fe, record(fe.Fingerprint(), mode)); err == nil {
+			t.Errorf("AoS record%s accepted", mode)
+		}
+		if fe.Interleave() != 2 || fe.CalibrationSource() != "manual" {
+			t.Errorf("rejected AoS record%s still changed the engine to (x%d, %q)", mode, fe.Interleave(), fe.CalibrationSource())
+		}
+	}
 }
 
 // TestSaveCalibrationFiltersRows pins the save-side row filter: rows of
@@ -406,13 +316,9 @@ func TestSaveCalibrationFiltersRows(t *testing.T) {
 
 // TestGatesJSONRoundTrip covers the host-wide gates-only persistence
 // the CLI uses, including MaxInt (disabled-width) thresholds and the
-// rejection of negative tables.
+// rejection of negative, foreign and legacy tables.
 func TestGatesJSONRoundTrip(t *testing.T) {
-	g := InterleaveGates{
-		Min2: 1 << 20, Min4: math.MaxInt, Min8: math.MaxInt,
-		CompactMin2: 256 << 10, CompactMin4: 4 << 20, CompactMin8: 16 << 20,
-		CompactFusedMin: math.MaxInt, // measured, fused never won
-	}
+	g := InterleaveGates{Min2: 1 << 20, Min4: math.MaxInt, Min8: math.MaxInt}
 	var buf bytes.Buffer
 	if err := WriteGatesJSON(&buf, g); err != nil {
 		t.Fatal(err)
@@ -438,5 +344,11 @@ func TestGatesJSONRoundTrip(t *testing.T) {
 	}
 	if _, err := ReadGatesJSON(strings.NewReader(`{}`)); err == nil {
 		t.Error("all-zero gate table accepted")
+	}
+	// A gate file from before the compact arena had one walk carries
+	// compact_* keys; decoding stays strict and names the retired key.
+	legacy := `{"min2": 1048576, "min4": 4194304, "min8": 16777216, "compact_min2": 1048576}`
+	if _, err := ReadGatesJSON(strings.NewReader(legacy)); err == nil || !strings.Contains(err.Error(), "compact_min2") {
+		t.Errorf("legacy gate file: err = %v, want a rejection naming compact_min2", err)
 	}
 }
