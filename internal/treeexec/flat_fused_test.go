@@ -11,6 +11,86 @@ import (
 	"flint/internal/rf"
 )
 
+// TestFusedNodeMirror pins the nodes64 encoding against the trained
+// forest it was compiled from: walking every source tree alongside its
+// compact copy, each inner node's word must mirror the source node —
+// its feature field maps back (through prunedOrig) to the split
+// feature, its rank field indexes the split's own key in that
+// feature's cut table, and its two kids halves name the source
+// children (^class for a leaf, a tree-relative node index otherwise) —
+// and every word must be reached exactly once. gas splits on a
+// fraction of its columns, so it covers a pruned feature index that
+// differs from the input column.
+func TestFusedNodeMirror(t *testing.T) {
+	for _, name := range []string{"magic", "gas"} {
+		f, _ := trainedForest(t, name, 6, 6)
+		e, err := NewFlat(f, FlatCompact)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Variant() != FlatCompact {
+			t.Fatalf("%s: fell back to %v", name, e.Variant())
+		}
+		seen := make([]bool, len(e.nodes64))
+		var mirror func(src []rf.Node, base int32, si, rel int) bool
+		mirror = func(src []rf.Node, base int32, si, rel int) bool {
+			n := src[si]
+			at := int(base) + rel
+			if rel < 0 || at >= len(e.nodes64) || seen[at] {
+				t.Errorf("%s: source node %d maps to arena word %d (out of range or shared)", name, si, at)
+				return false
+			}
+			seen[at] = true
+			w := e.nodes64[at]
+			feat, rank := int(uint16(w>>16)), int(uint16(w))
+			if feat >= e.numPruned || e.prunedOrig[feat] != n.Feature {
+				t.Errorf("%s: word %d feature field %d, want the pruned index of feature %d", name, at, feat, n.Feature)
+				return false
+			}
+			lo, hi := int(e.cutLo[feat]), int(e.cutLo[feat+1])
+			if lo+rank >= hi || e.cuts[lo+rank] != core.PrecodeSplit32(n.Split) {
+				t.Errorf("%s: word %d rank %d does not index split %v in its cut table", name, at, rank, n.Split)
+				return false
+			}
+			kids := uint32(w >> 32)
+			for half, child := range []int32{n.Left, n.Right} {
+				got := int(int16(kids >> (16 * half)))
+				if c := src[child]; c.IsLeaf() {
+					if got != ^int(c.Class) {
+						t.Errorf("%s: word %d kid %d = %d, want leaf ^%d", name, at, half, got, c.Class)
+						return false
+					}
+				} else if !mirror(src, base, int(child), got) {
+					return false
+				}
+			}
+			if uint64(rank)|uint64(feat)<<16|uint64(kids)<<32 != w {
+				t.Errorf("%s: word %d does not split into its fields", name, at)
+				return false
+			}
+			return true
+		}
+		for ti := range f.Trees {
+			src := f.Trees[ti].Nodes
+			if src[0].IsLeaf() {
+				if e.roots[ti] != ^src[0].Class {
+					t.Errorf("%s: leaf-only tree %d root = %d, want ^%d", name, ti, e.roots[ti], src[0].Class)
+				}
+				continue
+			}
+			if !mirror(src, e.roots[ti], 0, 0) {
+				break
+			}
+		}
+		for i, ok := range seen {
+			if !ok {
+				t.Errorf("%s: arena word %d is reached by no source node", name, i)
+				break
+			}
+		}
+	}
+}
+
 // TestBranchlessRankMatchesBranchy drives the branchless binary search
 // against the branchy one over random cut tables, covering the edges
 // rank arithmetic gets wrong first: keys below every cut, above every

@@ -166,15 +166,38 @@ func itoa(v int) string {
 	return "8"
 }
 
+// legacyRecord renders a calibration record for fp in the shape older
+// code wrote: the gate table with its compact_* keys, then the mode
+// fields.
+func legacyRecord(t *testing.T, fp ArenaFingerprint, mode string) string {
+	t.Helper()
+	fpj, err := json.Marshal(fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return `{"fingerprint": ` + string(fpj) + `, "gates": {"min2": 1048576, "min4": 4194304, "min8": 16777216,
+		"compact_min2": 1048576, "compact_min4": 4194304, "compact_min8": 16777216,
+		"compact_fused_min": 1, "compact_simd_min": 9223372036854775807,
+		"compact_simdquant_min": 9223372036854775807, "compact_simd16_min": 9223372036854775807}` + mode + `}`
+}
+
+// loadRecord loads a calibration record document into e.
+func loadRecord(t *testing.T, e *FlatForestEngine, doc string) error {
+	t.Helper()
+	_, err := e.LoadCalibration(strings.NewReader(doc))
+	return err
+}
+
 // TestCalibrationKernelRoundTrip covers the walk named by a persisted
 // record. A compact engine saves and reloads "fused" at width 1 as
 // "persisted". Records from before the compact arena had one walk load
 // as fused x1 with source "persisted-degraded": every fixture below
 // carries the retired compact_* gate keys, and each names a retired
-// kernel ("" — the field absent — "branchy", "simd-quant" or "simd"),
-// a retired width (2, 4, 8 or 16) or a simd_refill. An unknown kernel
-// is rejected; so are a non-branchy kernel and width 16 on an AoS
-// engine, whose legacy branchy records still load at their width.
+// kernel ("" — the field absent — "branchy", "simd-quant" or "simd")
+// or a retired width (2, 4 or 8); width 16 has its own test
+// (TestCalibrationSIMD16RoundTrip). An unknown kernel is rejected; so
+// is a non-branchy kernel on an AoS engine, whose legacy branchy
+// records still load at their width.
 func TestCalibrationKernelRoundTrip(t *testing.T) {
 	f, _ := trainedForest(t, "magic", 6, 5)
 	e, err := NewFlat(f, FlatCompact)
@@ -200,23 +223,6 @@ func TestCalibrationKernelRoundTrip(t *testing.T) {
 		t.Errorf("fused record loaded (x%d, %q), want (x1, persisted)", e2.Interleave(), e2.CalibrationSource())
 	}
 
-	// record renders a record for fp in the shape older code wrote:
-	// the gate table with its compact_* keys, then the mode fields.
-	record := func(fp ArenaFingerprint, mode string) string {
-		fpj, err := json.Marshal(fp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return `{"fingerprint": ` + string(fpj) + `, "gates": {"min2": 1048576, "min4": 4194304, "min8": 16777216,
-			"compact_min2": 1048576, "compact_min4": 4194304, "compact_min8": 16777216,
-			"compact_fused_min": 1, "compact_simd_min": 9223372036854775807,
-			"compact_simdquant_min": 9223372036854775807, "compact_simd16_min": 9223372036854775807}` + mode + `}`
-	}
-	load := func(e *FlatForestEngine, doc string) error {
-		t.Helper()
-		_, err := e.LoadCalibration(strings.NewReader(doc))
-		return err
-	}
 	for _, tc := range []struct{ mode, source string }{
 		{`, "width": 1, "kernel": "fused"`, "persisted"},
 		{`, "width": 1`, "persisted-degraded"},
@@ -225,7 +231,6 @@ func TestCalibrationKernelRoundTrip(t *testing.T) {
 		{`, "width": 8, "kernel": "branchy"`, "persisted-degraded"},
 		{`, "width": 1, "kernel": "simd-quant"`, "persisted-degraded"},
 		{`, "width": 4, "kernel": "simd"`, "persisted-degraded"},
-		{`, "width": 16, "kernel": "simd", "simd_refill": 6`, "persisted-degraded"},
 		{`, "width": 2, "kernel": "fused"`, "persisted-degraded"},
 		{`, "width": 4, "kernel": "fused"`, "persisted-degraded"},
 		{`, "width": 8, "kernel": "fused"`, "persisted-degraded"},
@@ -234,7 +239,7 @@ func TestCalibrationKernelRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := load(fresh, record(fresh.Fingerprint(), tc.mode)); err != nil {
+		if err := loadRecord(t, fresh, legacyRecord(t, fresh.Fingerprint(), tc.mode)); err != nil {
 			t.Errorf("record%s rejected: %v", tc.mode, err)
 			continue
 		}
@@ -247,7 +252,7 @@ func TestCalibrationKernelRoundTrip(t *testing.T) {
 	}
 
 	before := e2.CalibrationSource()
-	if err := load(e2, record(e2.Fingerprint(), `, "width": 1, "kernel": "turbo"`)); err == nil {
+	if err := loadRecord(t, e2, legacyRecord(t, e2.Fingerprint(), `, "width": 1, "kernel": "turbo"`)); err == nil {
 		t.Error("unknown kernel name accepted")
 	}
 	if e2.CalibrationSource() != before {
@@ -255,13 +260,13 @@ func TestCalibrationKernelRoundTrip(t *testing.T) {
 	}
 
 	// AoS engines: a legacy branchy record loads at its width; a
-	// compact-only kernel or width 16 is rejected without installing.
+	// compact-only kernel is rejected without installing.
 	fe, err := NewFlat(f, FlatFLInt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, mode := range []string{`, "width": 4`, `, "width": 4, "kernel": "branchy"`} {
-		if err := load(fe, record(fe.Fingerprint(), mode)); err != nil {
+		if err := loadRecord(t, fe, legacyRecord(t, fe.Fingerprint(), mode)); err != nil {
 			t.Fatalf("AoS record%s rejected: %v", mode, err)
 		}
 		if fe.Interleave() != 4 || fe.CalibrationSource() != "persisted" || fe.Kernel() != "branchy" {
@@ -274,10 +279,66 @@ func TestCalibrationKernelRoundTrip(t *testing.T) {
 		`, "width": 1, "kernel": "fused"`,
 		`, "width": 8, "kernel": "simd-quant"`,
 		`, "width": 8, "kernel": "simd"`,
+	} {
+		if err := loadRecord(t, fe, legacyRecord(t, fe.Fingerprint(), mode)); err == nil {
+			t.Errorf("AoS record%s accepted", mode)
+		}
+		if fe.Interleave() != 2 || fe.CalibrationSource() != "manual" {
+			t.Errorf("rejected AoS record%s still changed the engine to (x%d, %q)", mode, fe.Interleave(), fe.CalibrationSource())
+		}
+	}
+}
+
+// TestCalibrationSIMD16RoundTrip covers the width-16/refill axes of
+// records written by the retired dual-group SIMD walk. On the compact
+// arena a width-16 record loads as fused x1 with source
+// "persisted-degraded" whatever kernel it names, its simd_refill —
+// valid or not — is ignored, and the engine's next save writes fused x1
+// without the retired field. On an AoS arena, which never ran width 16,
+// every width-16 record is rejected without installing anything.
+func TestCalibrationSIMD16RoundTrip(t *testing.T) {
+	f, _ := trainedForest(t, "magic", 6, 5)
+	for _, mode := range []string{
+		`, "width": 16, "kernel": "simd", "simd_refill": 6`,
+		`, "width": 16, "kernel": "simd", "simd_refill": 0`,
+		`, "width": 16, "kernel": "simd", "simd_refill": 17`,
+		`, "width": 16, "kernel": "simd-quant"`,
+		`, "width": 16, "kernel": "branchy", "simd_refill": 3`,
+		`, "width": 16`,
+	} {
+		e, err := NewFlat(f, FlatCompact)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := loadRecord(t, e, legacyRecord(t, e.Fingerprint(), mode)); err != nil {
+			t.Errorf("compact record%s rejected: %v", mode, err)
+			continue
+		}
+		if e.Interleave() != 1 || e.Kernel() != "fused" || e.CalibrationSource() != "persisted-degraded" {
+			t.Errorf("compact record%s loaded (x%d, %s, %q), want (x1, fused, persisted-degraded)",
+				mode, e.Interleave(), e.Kernel(), e.CalibrationSource())
+		}
+		var buf bytes.Buffer
+		if err := e.SaveCalibration(&buf, nil); err != nil {
+			t.Fatal(err)
+		}
+		if s := buf.String(); strings.Contains(s, "simd_refill") || !strings.Contains(s, `"width": 1`) ||
+			!strings.Contains(s, `"kernel": "fused"`) {
+			t.Errorf("compact record%s re-saved as %s, want fused x1 without simd_refill", mode, s)
+		}
+	}
+
+	fe, err := NewFlat(f, FlatFLInt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fe.SetInterleave(2)
+	for _, mode := range []string{
 		`, "width": 16, "kernel": "simd", "simd_refill": 6`,
 		`, "width": 16, "kernel": "branchy"`,
+		`, "width": 16`,
 	} {
-		if err := load(fe, record(fe.Fingerprint(), mode)); err == nil {
+		if err := loadRecord(t, fe, legacyRecord(t, fe.Fingerprint(), mode)); err == nil {
 			t.Errorf("AoS record%s accepted", mode)
 		}
 		if fe.Interleave() != 2 || fe.CalibrationSource() != "manual" {
